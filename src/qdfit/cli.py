@@ -60,10 +60,6 @@ class CliConfig:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace, columns: list[str]) -> "CliConfig":
-        if not (0.0 < args.omega_min <= args.omega_max < 1.0):
-            raise ValueError("omega bounds must satisfy 0 < min <= max < 1")
-        if args.omega_step <= 0.0:
-            raise ValueError("omega step must be positive")
         if not 0.0 <= args.prominence <= 1.0:
             raise ValueError("prominence fraction must lie in [0, 1]")
         if args.days < MIN_WINDOW_DAYS:
@@ -197,8 +193,6 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         writer.writerow(["t"] + [f"N{i}" for i in range(NUM_QUASI_BASIS)])
         rows = quasi_basis_matrix(ts)
     else:
-        if not 0.0 < args.omega < 1.0:
-            raise ValueError(f"segmentation point must lie in (0, 1), got {args.omega}")
         writer.writerow(["t"] + [f"N{i}" for i in range(NUM_PIECEWISE_BASIS)])
         rows = np.vstack([eval_all_piecewise(t, args.omega) for t in ts])
     for t, row in zip(ts, rows):

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .basis import NUM_PIECEWISE_BASIS, piecewise_basis_matrix
 
@@ -80,8 +79,11 @@ class FitResult:
 
 
 def _data_values(data) -> np.ndarray:
-    """Accept a HistogramDistribution or a plain sequence of f values."""
-    return np.asarray(getattr(data, "f", data), dtype=float)
+    """Accept a HistogramDistribution or a plain sequence of finite f values."""
+    f = np.asarray(getattr(data, "f", data), dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("data values must be finite (no NaN or inf)")
+    return f
 
 
 def data_points(f: np.ndarray) -> np.ndarray:
@@ -132,10 +134,10 @@ def solve_normal_equations(design: np.ndarray, points: np.ndarray) -> np.ndarray
     ridge = RIDGE_SCALE * np.trace(gram) / gram.shape[0]
     gram[np.diag_indices_from(gram)] += ridge
     try:
-        factor = scipy.linalg.cho_factor(gram, check_finite=False)
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"normal equations not factorizable: {exc}") from exc
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
 def sample_curve(curve: PiecewiseCurve, n: int) -> np.ndarray:
@@ -196,9 +198,9 @@ def default_omega_grid(
 ) -> np.ndarray:
     """Uniform candidate grid, inclusive of both ends (default 0.10..0.90 by 0.01)."""
     if step <= 0.0:
-        raise ValueError("grid step must be positive")
+        raise ValueError("omega grid step must be positive")
     if not (0.0 < lo <= hi < 1.0):
-        raise ValueError("grid bounds must satisfy 0 < lo <= hi < 1")
+        raise ValueError("omega grid bounds must satisfy 0 < lo <= hi < 1")
     count = int(round((hi - lo) / step)) + 1
     grid = np.round(lo + step * np.arange(count), 12)  # drop float-step noise
     return grid[(grid > 0.0) & (grid < 1.0)]

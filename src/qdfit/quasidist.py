@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.signal
 
 
 class Peak(NamedTuple):
@@ -57,25 +56,33 @@ def moments(values: np.ndarray) -> tuple[float, float]:
 def find_peaks(values: np.ndarray, prominence_frac: float = 0.05) -> list[Peak]:
     """Local maxima with prominence at least prominence_frac * max(values).
 
-    Peaks are strict local maxima (plateaus report their leftmost sample),
-    returned in day-index order with 1-based day indices.  The prominence
-    floor suppresses low ripple peaks from quintic oscillation.
+    A peak is a run of equal samples strictly higher than the runs on both
+    sides (a run touching either end is none); it reports the 1-based day of
+    its leftmost sample.  Its prominence is its height above the larger of the
+    two side minima, each found by searching outward until a sample is not <=
+    the height (a higher value or a NaN).  The floor suppresses low ripple
+    peaks from quintic oscillation.
     """
     if not 0.0 <= prominence_frac <= 1.0:
         raise ValueError("prominence fraction must lie in [0, 1]")
     values = np.asarray(values, dtype=float)
     if values.size < 3:
         return []
-    indices, props = scipy.signal.find_peaks(values, plateau_size=(1, None))
-    if indices.size == 0:
-        return []
-    prominences = scipy.signal.peak_prominences(values, indices)[0]
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])  # NaN runs have length 1
+    heights = values[starts]
+    inner = np.arange(1, starts.size - 1)
+    runs = inner[(heights[inner - 1] < heights[inner]) & (heights[inner + 1] < heights[inner])]
     floor = prominence_frac * float(values.max())
-    peaks = [
-        Peak(int(edge) + 1, float(values[edge]), float(prom))
-        for edge, prom in zip(props["left_edges"], prominences)
-        if prom >= floor
-    ]
+    peaks = []
+    for left, height in zip(starts[runs], heights[runs]):
+        # the plateau lies in both searches, so its left edge serves as well as its midpoint
+        blocked = np.flatnonzero(~(values <= height))
+        k = np.searchsorted(blocked, left)
+        lo = blocked[k - 1] + 1 if k > 0 else 0
+        hi = blocked[k] if k < blocked.size else values.size
+        prominence = height - max(values[lo : left + 1].min(), values[left:hi].min())
+        if prominence >= floor:
+            peaks.append(Peak(int(left) + 1, float(height), float(prominence)))
     return peaks
 
 

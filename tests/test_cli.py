@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
+import qdfit
 from qdfit.cli import main
 from qdfit.report import parse_report
 
@@ -265,3 +269,13 @@ class TestBasisCommand:
     def test_too_few_samples(self, capsys):
         assert main(["basis", "--samples", "1"]) == 1
         assert "at least 2" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter shows what
+    # `import qdfit.cli` pulls in, whatever this test session imported before
+    src = os.path.dirname(os.path.dirname(qdfit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, qdfit.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

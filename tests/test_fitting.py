@@ -126,6 +126,11 @@ class TestNormalEquations:
         with pytest.raises(ValueError):
             solve_normal_equations(design, np.zeros((11, 2)))
 
+    def test_singular_gram_raises_ill_conditioned(self):
+        # an all-zero design gives a zero Gram matrix and a zero ridge
+        with pytest.raises(IllConditionedError):
+            solve_normal_equations(np.zeros((40, 29)), np.ones((40, 2)))
+
 
 class TestSampleCurve:
     def test_endpoints_hit_end_controls(self):
@@ -230,6 +235,14 @@ class TestFitFixedOmega:
 
 
 class TestFit:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_data_rejected(self, bad):
+        f = np.full(60, 1.0 / 60)
+        f[17] = bad
+        for call in (lambda: fit(f), lambda: fit_fixed_omega(f, 0.5), lambda: data_points(f)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
     def test_singleton_grid(self):
         f = np.full(60, 1.0 / 60)
         result = fit(f, omega_grid=[0.5])
