@@ -1,28 +1,18 @@
-"""Quasi-distribution fitting of daily-count series with piecewise B-splines."""
+"""Quasi-distribution fitting of daily-count series with piecewise B-splines.
 
-from .basis import (
-    eval_all_piecewise,
-    eval_all_quasi,
-    eval_basis_closed_form,
-    eval_basis_recursive,
-    make_knot_vector,
-    piecewise_basis_matrix,
-    quasi_basis_matrix,
-)
+The package root exports the pipeline stages a caller strings together and
+their types.  The stages' internals (design matrix, solve, sampling,
+discretization, moments, peak scan, basis evaluation) stay importable from
+their submodules `qdfit.basis`, `qdfit.fitting`, `qdfit.quasidist` and
+`qdfit.report`.
+"""
+
 from .fitting import (
-    FitCandidate,
     FitResult,
     IllConditionedError,
     PiecewiseCurve,
-    assemble_design,
-    chord_length_params,
     default_omega_grid,
-    discretize,
     fit,
-    fit_fixed_omega,
-    mse,
-    sample_curve,
-    solve_normal_equations,
 )
 from .ingest import (
     HistogramDistribution,
@@ -35,16 +25,8 @@ from .ingest import (
     moving_average_7,
     parse_csv,
     preset_window,
-    to_csv,
 )
-from .quasidist import (
-    Peak,
-    QuasiDistribution,
-    find_peaks,
-    moments,
-    normalize,
-    quasi_distribution,
-)
+from .quasidist import Peak, QuasiDistribution, quasi_distribution
 from .report import (
     FitReport,
     build_report,
@@ -52,13 +34,11 @@ from .report import (
     emit_overlay_svg,
     emit_panel_svg,
     parse_report,
-    series_color,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FitCandidate",
     "FitReport",
     "FitResult",
     "HistogramDistribution",
@@ -69,37 +49,18 @@ __all__ = [
     "RawSeries",
     "SmoothedSeries",
     "WindowSpec",
-    "assemble_design",
     "build_report",
-    "chord_length_params",
     "default_omega_grid",
-    "discretize",
     "emit_json",
     "emit_overlay_svg",
     "emit_panel_svg",
-    "eval_all_piecewise",
-    "eval_all_quasi",
-    "eval_basis_closed_form",
-    "eval_basis_recursive",
     "extract_window",
-    "find_peaks",
     "fit",
-    "fit_fixed_omega",
     "histogram",
     "load_presets",
-    "make_knot_vector",
-    "moments",
     "moving_average_7",
-    "mse",
-    "normalize",
     "parse_csv",
     "parse_report",
-    "piecewise_basis_matrix",
     "preset_window",
-    "quasi_basis_matrix",
     "quasi_distribution",
-    "sample_curve",
-    "series_color",
-    "solve_normal_equations",
-    "to_csv",
 ]

@@ -11,12 +11,11 @@ and the two segments share index 14.  A curve built on this basis is
 therefore continuous at omega by construction: both one-sided limits equal
 control point 14.
 
-Two evaluators are provided for the base family.  The Cox-de Boor
-recursion over the explicit knot vector is the production evaluator
-(`eval_basis_recursive`, `eval_all_quasi`, and the vectorized
-`quasi_basis_matrix`).  The explicit piecewise polynomials
-(`eval_basis_closed_form`) are kept as an independent cross-check and are
-exercised against the recursion in the test suite.
+There is one evaluator: `quasi_basis_matrix` runs the Cox-de Boor
+recurrence over the explicit knot vector, vectorized over all parameters,
+and `piecewise_basis_matrix` composes two calls of it.  The fit, the curve
+sampler and the `basis` CLI dump all go through it.  The test suite checks
+it against the explicit piecewise polynomials, which live with the tests.
 
 Convention: basis supports are half-open on the right, except that the
 span ending at the domain end is closed there, so the last basis function
@@ -39,53 +38,12 @@ def make_knot_vector() -> np.ndarray:
 
 
 _KNOTS = make_knot_vector()
-# plain-float copy: scalar recursion is much faster on Python floats
-_KNOTS_F = tuple(float(k) for k in _KNOTS)
-
-
-# ---------------------------------------------------------------------------
-# Cox-de Boor recursion (production evaluator)
-# ---------------------------------------------------------------------------
-
-def _degree_zero(i: int, t: float) -> float:
-    if _KNOTS_F[i] <= t < _KNOTS_F[i + 1]:
-        return 1.0
-    # right-closed convention for the span ending at the domain end
-    if t == 1.0 and _KNOTS_F[i] < _KNOTS_F[i + 1] == 1.0:
-        return 1.0
-    return 0.0
-
-
-def _cox_de_boor(i: int, p: int, t: float) -> float:
-    if p == 0:
-        return _degree_zero(i, t)
-    value = 0.0
-    den = _KNOTS_F[i + p] - _KNOTS_F[i]
-    if den > 0.0:
-        value += (t - _KNOTS_F[i]) / den * _cox_de_boor(i, p - 1, t)
-    den = _KNOTS_F[i + p + 1] - _KNOTS_F[i + 1]
-    if den > 0.0:
-        value += (_KNOTS_F[i + p + 1] - t) / den * _cox_de_boor(i + 1, p - 1, t)
-    return value
-
-
-def eval_basis_recursive(i: int, t: float) -> float:
-    """Value of base function i (0..14) at t in [0, 1] by Cox-de Boor recursion."""
-    if not 0 <= i < NUM_QUASI_BASIS:
-        raise IndexError(f"basis index {i} out of range 0..{NUM_QUASI_BASIS - 1}")
-    return _cox_de_boor(i, DEGREE, float(t))
-
-
-def eval_all_quasi(t: float) -> np.ndarray:
-    """All 15 base-function values at t, as computed by the recursive evaluator."""
-    t = float(t)
-    return np.array([_cox_de_boor(i, DEGREE, t) for i in range(NUM_QUASI_BASIS)])
 
 
 def quasi_basis_matrix(ts: np.ndarray) -> np.ndarray:
     """Base-family design matrix: row k holds the 15 basis values at ts[k].
 
-    Vectorized bottom-up evaluation of the same Cox-de Boor recurrence
+    The Cox-de Boor recurrence, run bottom-up for all parameters at once
     (only the ORDER nonzero functions per knot span are computed, then
     scattered into the full 15-column row).
     """
@@ -119,221 +77,6 @@ def quasi_basis_matrix(ts: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form polynomials (cross-check evaluator)
-# ---------------------------------------------------------------------------
-# Pieces are written in terms of the shifted variables T_i = t - 0.1 i.
-# Functions 6..9 are translates of #5; 10..14 are reflections of 4..0.
-
-def _q0(t: float) -> float:
-    if 0.0 <= t < 0.1:
-        return -1e5 * (t - 0.1) ** 5
-    return 0.0
-
-
-def _q1(t: float) -> float:
-    if 0.0 <= t < 0.1:
-        t0, t1, t2 = t, t - 0.1, t - 0.2
-        return 1e4 * (
-            10.0 * t0 * t1**4
-            + 5.0 * t0 * t1**3 * t2
-            + 2.5 * t0 * t1**2 * t2**2
-            + 1.25 * t0 * t1 * t2**3
-            + 0.625 * t0 * t2**4
-        )
-    if 0.1 <= t < 0.2:
-        return -6250.0 * (t - 0.2) ** 5
-    return 0.0
-
-
-def _q2(t: float) -> float:
-    t0, t1, t2, t3 = t, t - 0.1, t - 0.2, t - 0.3
-    if 0.0 <= t < 0.1:
-        return -1e4 * (
-            5.0 * t0**2 * t1**3
-            + 5.0 / 2.0 * t0**2 * t1**2 * t2
-            + 5.0 / 4.0 * t0**2 * t1 * t2**2
-            + 5.0 / 8.0 * t0**2 * t2**3
-            + 5.0 / 3.0 * t0**2 * t1**2 * t3
-            + 5.0 / 6.0 * t0**2 * t1 * t2 * t3
-            + 5.0 / 12.0 * t0**2 * t2**2 * t3
-            + 5.0 / 9.0 * t0**2 * t1 * t3**2
-            + 5.0 / 18.0 * t0**2 * t2 * t3**2
-            + 5.0 / 27.0 * t0**2 * t3**3
-        )
-    if 0.1 <= t < 0.2:
-        return 1e4 * (
-            5.0 / 8.0 * t0 * t2**4
-            + 5.0 / 12.0 * t0 * t2**3 * t3
-            + 5.0 / 18.0 * t0 * t2**2 * t3**2
-            + 5.0 / 27.0 * t0 * t2 * t3**3
-            + 5.0 / 27.0 * t1 * t3**4
-        )
-    if 0.2 <= t < 0.3:
-        return -50000.0 / 27.0 * t3**5
-    return 0.0
-
-
-def _q3(t: float) -> float:
-    t0, t1, t2, t3, t4 = t, t - 0.1, t - 0.2, t - 0.3, t - 0.4
-    if 0.0 <= t < 0.1:
-        return 1e4 * (
-            5.0 / 3.0 * t0**3 * t1**2
-            + 5.0 / 6.0 * t0**3 * t1 * t2
-            + 5.0 / 12.0 * t0**3 * t2**2
-            + 5.0 / 9.0 * t0**3 * t1 * t3
-            + 5.0 / 18.0 * t0**3 * t2 * t3
-            + 5.0 / 27.0 * t0**3 * t3**2
-            + 5.0 / 12.0 * t0**3 * t1 * t4
-            + 5.0 / 24.0 * t0**3 * t2 * t4
-            + 5.0 / 36.0 * t0**3 * t3 * t4
-            + 5.0 / 48.0 * t0**3 * t4**2
-        )
-    if 0.1 <= t < 0.2:
-        return -1e4 * (
-            5.0 / 12.0 * t0**2 * t2**3
-            + 5.0 / 18.0 * t0**2 * t2**2 * t3
-            + 5.0 / 27.0 * t0**2 * t2 * t3**2
-            + 5.0 / 27.0 * t0 * t1 * t3**3
-            + 5.0 / 24.0 * t0**2 * t2**2 * t4
-            + 5.0 / 36.0 * t0**2 * t2 * t3 * t4
-            + 5.0 / 36.0 * t0 * t1 * t3**2 * t4
-            + 5.0 / 48.0 * t0**2 * t2 * t4**2
-            + 5.0 / 48.0 * t0 * t1 * t3 * t4**2
-            + 5.0 / 48.0 * t1**2 * t4**3
-        )
-    if 0.2 <= t < 0.3:
-        return 1e4 * (
-            5.0 / 27.0 * t0 * t3**4
-            + 5.0 / 36.0 * t0 * t3**3 * t4
-            + 5.0 / 48.0 * t0 * t3**2 * t4**2
-            + 5.0 / 48.0 * t1 * t3 * t4**3
-            + 5.0 / 48.0 * t2 * t4**4
-        )
-    if 0.3 <= t < 0.4:
-        return -3125.0 / 3.0 * t4**5
-    return 0.0
-
-
-def _q4(t: float) -> float:
-    t0, t1, t2, t3, t4, t5 = t, t - 0.1, t - 0.2, t - 0.3, t - 0.4, t - 0.5
-    if 0.0 <= t < 0.1:
-        return -1e4 * (
-            5.0 / 12.0 * t0**4 * t1
-            + 5.0 / 24.0 * t0**4 * t2
-            + 5.0 / 36.0 * t0**4 * t3
-            + 5.0 / 48.0 * t0**4 * t4
-            + 1.0 / 12.0 * t0**4 * t5
-        )
-    if 0.1 <= t < 0.2:
-        return 1e4 * (
-            5.0 / 24.0 * t0**3 * t2**2
-            + 5.0 / 36.0 * t0**3 * t2 * t3
-            + 5.0 / 36.0 * t0**2 * t1 * t3**2
-            + 5.0 / 48.0 * t0**3 * t2 * t4
-            + 5.0 / 48.0 * t0**2 * t1 * t3 * t4
-            + 5.0 / 48.0 * t0 * t1**2 * t4**2
-            + 1.0 / 12.0 * t0**3 * t2 * t5
-            + 1.0 / 12.0 * t0**2 * t1 * t3 * t5
-            + 1.0 / 12.0 * t0 * t1**2 * t4 * t5
-            + 1.0 / 12.0 * t1**3 * t5**2
-        )
-    if 0.2 <= t < 0.3:
-        return -1e4 * (
-            5.0 / 36.0 * t0**2 * t3**3
-            + 5.0 / 48.0 * t0**2 * t3**2 * t4
-            + 5.0 / 48.0 * t0 * t1 * t3 * t4**2
-            + 5.0 / 48.0 * t0 * t2 * t4**3
-            + 1.0 / 12.0 * t0**2 * t3**2 * t5
-            + 1.0 / 12.0 * t0 * t1 * t3 * t4 * t5
-            + 1.0 / 12.0 * t0 * t2 * t4**2 * t5
-            + 1.0 / 12.0 * t1**2 * t3 * t5**2
-            + 1.0 / 12.0 * t1 * t2 * t4 * t5**2
-            + 1.0 / 12.0 * t2**2 * t5**3
-        )
-    if 0.3 <= t < 0.4:
-        return 1e4 * (
-            5.0 / 48.0 * t0 * t4**4
-            + 1.0 / 12.0 * t0 * t4**3 * t5
-            + 1.0 / 12.0 * t1 * t4**2 * t5**2
-            + 1.0 / 12.0 * t2 * t4 * t5**3
-            + 1.0 / 12.0 * t3 * t5**4
-        )
-    if 0.4 <= t < 0.5:
-        return -2500.0 / 3.0 * t5**5
-    return 0.0
-
-
-def _q5(t: float) -> float:
-    t0, t1, t2, t3, t4, t5, t6 = (t - 0.1 * i for i in range(7))
-    if 0.0 <= t < 0.1:
-        return 2500.0 / 3.0 * t0**5
-    if 0.1 <= t < 0.2:
-        return -2500.0 / 3.0 * (
-            t0**4 * t2
-            + t0**3 * t1 * t3
-            + t0**2 * t1**2 * t4
-            + t0 * t1**3 * t5
-            + t1**4 * t6
-        )
-    if 0.2 <= t < 0.3:
-        return 2500.0 / 3.0 * (
-            t0**3 * t3**2
-            + t0**2 * t1 * t3 * t4
-            + t0**2 * t2 * t4**2
-            + t0 * t1**2 * t3 * t5
-            + t0 * t1 * t2 * t4 * t5
-            + t0 * t2**2 * t5**2
-            + t1**3 * t3 * t6
-            + t1**2 * t2 * t4 * t6
-            + t1 * t2**2 * t5 * t6
-            + t2**3 * t6**2
-        )
-    if 0.3 <= t < 0.4:
-        return -2500.0 / 3.0 * (
-            t0**2 * t4**3
-            + t0 * t1 * t4**2 * t5
-            + t0 * t2 * t4 * t5**2
-            + t0 * t3 * t5**3
-            + t1**2 * t4**2 * t6
-            + t1 * t2 * t4 * t5 * t6
-            + t1 * t3 * t5**2 * t6
-            + t2**2 * t4 * t6**2
-            + t2 * t3 * t5 * t6**2
-            + t3**2 * t6**3
-        )
-    if 0.4 <= t < 0.5:
-        return 2500.0 / 3.0 * (
-            t0 * t5**4
-            + t1 * t5**3 * t6
-            + t2 * t5**2 * t6**2
-            + t3 * t5 * t6**3
-            + t4 * t6**4
-        )
-    if 0.5 <= t < 0.6:
-        return -2500.0 / 3.0 * t6**5
-    return 0.0
-
-
-_DIRECT_FORMS = (_q0, _q1, _q2, _q3, _q4, _q5)
-
-
-def eval_basis_closed_form(i: int, t: float) -> float:
-    """Value of base function i at t from the explicit piecewise polynomials.
-
-    Indices 6..9 use the translation rule (copies of #5 shifted by 0.1
-    each), indices 10..14 the reflection rule (mirror images of 4..0).
-    """
-    if not 0 <= i < NUM_QUASI_BASIS:
-        raise IndexError(f"basis index {i} out of range 0..{NUM_QUASI_BASIS - 1}")
-    t = float(t)
-    if i <= 5:
-        return _DIRECT_FORMS[i](t)
-    if i <= 9:
-        return _q5(t - 0.1 * (i - 5))
-    return _DIRECT_FORMS[14 - i](1.0 - t)
-
-
-# ---------------------------------------------------------------------------
 # Two-piece basis
 # ---------------------------------------------------------------------------
 
@@ -342,26 +85,6 @@ def _check_omega(omega: float) -> float:
     if not 0.0 < omega < 1.0:
         raise ValueError(f"segmentation point must lie in (0, 1), got {omega}")
     return omega
-
-
-def eval_all_piecewise(t: float, omega: float) -> np.ndarray:
-    """All 29 two-piece basis values at t for segmentation point omega.
-
-    For t < omega the left segment is active (slots 0..14, local parameter
-    t/omega); for t >= omega the right segment is active (slots 14..28,
-    local parameter (t-omega)/(1-omega)).  Slot 14 is shared, which makes
-    any curve on this basis continuous at omega.
-    """
-    omega = _check_omega(omega)
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"parameter must lie in [0, 1], got {t}")
-    out = np.zeros(NUM_PIECEWISE_BASIS)
-    if t < omega:
-        out[:NUM_QUASI_BASIS] = eval_all_quasi(t / omega)
-    else:
-        out[NUM_QUASI_BASIS - 1:] = eval_all_quasi((t - omega) / (1.0 - omega))
-    return out
 
 
 def piecewise_basis_matrix(ts: np.ndarray, omega: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import NUM_PIECEWISE_BASIS, NUM_QUASI_BASIS, eval_all_piecewise, quasi_basis_matrix
+from .basis import NUM_PIECEWISE_BASIS, NUM_QUASI_BASIS, piecewise_basis_matrix, quasi_basis_matrix
 from .fitting import (
     DEFAULT_OMEGA_MAX,
     DEFAULT_OMEGA_MIN,
@@ -194,7 +194,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         rows = quasi_basis_matrix(ts)
     else:
         writer.writerow(["t"] + [f"N{i}" for i in range(NUM_PIECEWISE_BASIS)])
-        rows = np.vstack([eval_all_piecewise(t, args.omega) for t in ts])
+        rows = piecewise_basis_matrix(ts, args.omega)
     for t, row in zip(ts, rows):
         writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
     text = out.getvalue()

@@ -1,21 +1,23 @@
 """Least-squares fitting of a two-piece quintic B-spline curve to day counts.
 
-Pipeline for one segmentation-point candidate omega:
+`fit` turns the data into points and chord-length parameters once, then
+scores every segmentation-point candidate omega on the grid in one loop:
 
-    data (k, f_k)  ->  chord-length parameters t_k
+    data (k, f_k)  ->  chord-length parameters t_k              (once)
                    ->  design matrix  phi[k, i] = N_i(t_k; omega)
                    ->  normal equations  (phi' phi + ridge) C = phi' P
                    ->  dense sampling of the fitted curve
                    ->  discretization back onto the day grid
                    ->  mean square error against f_k
 
-`fit` runs this for every candidate on a grid and keeps the best one.
+and keeps the best candidate seen so far.  `fit_fixed_omega` is `fit` on a
+one-candidate grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +36,8 @@ SAMPLES_PER_DAY = 20
 
 
 class IllConditionedError(RuntimeError):
-    """Normal equations could not be factorized for one omega candidate."""
+    """Normal equations could not be factorized for one omega candidate,
+    or, raised by `fit`, for every candidate on the grid."""
 
 
 @dataclass(frozen=True)
@@ -54,14 +57,6 @@ class PiecewiseCurve:
         """Curve points at the given parameters, shape (len(ts), 2)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         return piecewise_basis_matrix(ts, self.omega) @ self.controls
-
-
-class FitCandidate(NamedTuple):
-    """Result of fitting at one fixed segmentation point."""
-
-    curve: PiecewiseCurve
-    discretized: np.ndarray
-    mse: float
 
 
 @dataclass(frozen=True)
@@ -177,20 +172,6 @@ def mse(signal: np.ndarray, data) -> float:
     return float(diff @ diff / signal.size)
 
 
-def fit_fixed_omega(data, omega: float, n_samples: int | None = None) -> FitCandidate:
-    """Fit the curve for one fixed segmentation point and score it."""
-    f = _data_values(data)
-    points = data_points(f)
-    if n_samples is None:
-        n_samples = SAMPLES_PER_DAY * f.size
-    params = chord_length_params(points)
-    design = assemble_design(params, omega)
-    controls = solve_normal_equations(design, points)
-    curve = PiecewiseCurve(float(omega), controls)
-    discretized = discretize(sample_curve(curve, n_samples), f.size)
-    return FitCandidate(curve, discretized, mse(discretized, f))
-
-
 def default_omega_grid(
     lo: float = DEFAULT_OMEGA_MIN,
     hi: float = DEFAULT_OMEGA_MAX,
@@ -215,8 +196,9 @@ def fit(
 
     Exact ties go to the smaller omega.  Candidates whose normal equations
     cannot be factorized are recorded with an infinite score and skipped;
-    if every candidate fails, a RuntimeError is raised.  The selection
-    depends only on the candidate set, not on evaluation order.
+    if every candidate fails, IllConditionedError (a RuntimeError) is
+    raised.  The selection depends only on the candidate set, not on
+    evaluation order.
     """
     f = _data_values(data)
     grid = np.asarray(
@@ -227,22 +209,34 @@ def fit(
     if np.any((grid <= 0.0) | (grid >= 1.0)):
         raise ValueError("all grid candidates must lie in (0, 1)")
 
+    points = data_points(f)
+    params = chord_length_params(points)
+    if n_samples is None:
+        n_samples = SAMPLES_PER_DAY * f.size
+
     scores: list[tuple[float, float]] = []
-    candidates: dict[float, FitCandidate] = {}
-    for omega in grid:
-        omega = float(omega)
+    best = None  # (mse, omega, curve, discretized) of the best candidate so far
+    for omega in map(float, grid):
         try:
-            candidate = fit_fixed_omega(f, omega, n_samples)
+            controls = solve_normal_equations(assemble_design(params, omega), points)
         except IllConditionedError:
             scores.append((omega, float("inf")))
             continue
-        scores.append((omega, candidate.mse))
-        candidates[omega] = candidate
+        curve = PiecewiseCurve(omega, controls)
+        discretized = discretize(sample_curve(curve, n_samples), f.size)
+        score = mse(discretized, f)
+        scores.append((omega, score))
+        if best is None or (score, omega) < best[:2]:
+            best = (score, omega, curve, discretized)
 
-    if not candidates:
-        raise RuntimeError("every segmentation-point candidate was ill-conditioned")
+    if best is None:
+        raise IllConditionedError("every segmentation-point candidate was ill-conditioned")
 
     scores.sort(key=lambda item: item[0])
-    best_omega = min(candidates, key=lambda w: (candidates[w].mse, w))
-    best = candidates[best_omega]
-    return FitResult(best.curve, best.discretized, best.mse, scores)
+    score, _, curve, discretized = best
+    return FitResult(curve, discretized, score, scores)
+
+
+def fit_fixed_omega(data, omega: float, n_samples: int | None = None) -> FitResult:
+    """Fit and score the curve for one fixed segmentation point: `fit` on [omega]."""
+    return fit(data, [omega], n_samples)

@@ -154,22 +154,6 @@ def parse_csv(text: str) -> list[RawSeries]:
     ]
 
 
-def to_csv(series: list[RawSeries]) -> str:
-    """Serialize aligned RawSeries back to CSV text (parse_csv round-trips it)."""
-    if not series:
-        raise ValueError("nothing to serialize")
-    first = series[0]
-    for other in series[1:]:
-        if other.start_date != first.start_date or len(other) != len(first):
-            raise ValueError("all series must share the same date range")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["date"] + [s.label for s in series])
-    for k, day in enumerate(first.dates()):
-        writer.writerow([day.isoformat()] + [repr(float(s.values[k])) for s in series])
-    return out.getvalue()
-
-
 def moving_average_7(raw: RawSeries) -> SmoothedSeries:
     """Centered 7-day moving average; output loses 3 days on each side."""
     if len(raw) < MOVING_AVERAGE_WINDOW:

@@ -29,8 +29,13 @@ class QuasiDistribution(NamedTuple):
 
 
 def normalize(signal: np.ndarray) -> tuple[float, np.ndarray]:
-    """Rescale a signal to unit sum; returns (gamma, rescaled values)."""
+    """Rescale a signal to unit sum; returns (gamma, rescaled values).
+
+    Negative cells are allowed (spline undershoot); NaN and inf are not.
+    """
     signal = np.asarray(signal, dtype=float)
+    if not np.all(np.isfinite(signal)):
+        raise ValueError("signal values must be finite (no NaN or inf)")
     total = float(signal.sum())
     if total == 0.0:
         raise ValueError("cannot normalize a signal with zero sum")

@@ -2,19 +2,26 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from basis_oracle import closed_form_piecewise_row, closed_form_row, eval_basis_closed_form
 from qdfit.basis import (
     NUM_PIECEWISE_BASIS,
     NUM_QUASI_BASIS,
-    eval_all_piecewise,
-    eval_all_quasi,
-    eval_basis_closed_form,
-    eval_basis_recursive,
     make_knot_vector,
     piecewise_basis_matrix,
     quasi_basis_matrix,
 )
 
 TS = np.linspace(0.0, 1.0, 1000)
+
+
+def quasi_row(t: float) -> np.ndarray:
+    """The 15 base-function values at one parameter."""
+    return quasi_basis_matrix(np.array([t]))[0]
+
+
+def piecewise_row(t: float, omega: float) -> np.ndarray:
+    """The 29 two-piece basis values at one parameter."""
+    return piecewise_basis_matrix(np.array([t]), omega)[0]
 
 
 class TestKnotVector:
@@ -33,31 +40,28 @@ class TestKnotVector:
 
 
 class TestRecursiveEvaluator:
+    """Endpoint and support properties of the Cox-de Boor evaluator."""
+
     def test_endpoint_interpolation(self):
-        assert eval_basis_recursive(0, 0.0) == 1.0
-        assert eval_basis_recursive(14, 1.0) == 1.0
+        assert quasi_row(0.0)[0] == 1.0
+        assert quasi_row(1.0)[14] == 1.0
 
     def test_other_functions_vanish_at_endpoints(self):
-        assert all(eval_basis_recursive(i, 0.0) == 0.0 for i in range(1, 15))
-        assert all(eval_basis_recursive(i, 1.0) == 0.0 for i in range(14))
+        assert (quasi_row(0.0)[1:] == 0.0).all()
+        assert (quasi_row(1.0)[:14] == 0.0).all()
 
     def test_value_at_first_interior_knot(self):
         # 2500/3 * 0.1^5, the first polynomial piece of function 5
-        assert eval_basis_recursive(5, 0.1) == pytest.approx(2500.0 / 3.0 * 1e-5, rel=1e-12)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            eval_basis_recursive(15, 0.5)
-        with pytest.raises(IndexError):
-            eval_basis_recursive(-1, 0.5)
+        assert quasi_row(0.1)[5] == pytest.approx(2500.0 / 3.0 * 1e-5, rel=1e-12)
 
     def test_local_support_is_exact_zero(self):
         kv = make_knot_vector()
+        ts = TS[::7]
+        design = quasi_basis_matrix(ts)
         for i in range(NUM_QUASI_BASIS):
             lo, hi = kv[i], kv[i + 6]
-            for t in TS[::7]:
-                if t < lo or t > hi:
-                    assert eval_basis_recursive(i, float(t)) == 0.0
+            outside = (ts < lo) | (ts > hi)
+            assert (design[outside, i] == 0.0).all()
 
 
 class TestClosedForms:
@@ -86,21 +90,18 @@ class TestClosedForms:
             eval_basis_closed_form(15, 0.5)
 
     def test_agrees_with_recursion(self):
-        worst = max(
-            abs(eval_basis_closed_form(i, t) - eval_basis_recursive(i, t))
-            for t in TS[::3]
-            for i in range(NUM_QUASI_BASIS)
-        )
-        assert worst <= 1e-9
+        ts = TS[::3]
+        closed = np.vstack([closed_form_row(t) for t in ts])
+        assert np.abs(closed - quasi_basis_matrix(ts)).max() <= 1e-9
 
 
 class TestQuasiVector:
     def test_endpoints(self):
-        np.testing.assert_array_equal(eval_all_quasi(0.0), np.eye(15)[0])
-        np.testing.assert_array_equal(eval_all_quasi(1.0), np.eye(15)[14])
+        np.testing.assert_array_equal(quasi_row(0.0), np.eye(15)[0])
+        np.testing.assert_array_equal(quasi_row(1.0), np.eye(15)[14])
 
     def test_partition_of_unity_mid(self):
-        assert eval_all_quasi(0.5).sum() == pytest.approx(1.0, abs=1e-12)
+        assert quasi_row(0.5).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_partition_of_unity_dense(self):
         sums = quasi_basis_matrix(TS).sum(axis=1)
@@ -120,9 +121,9 @@ class TestQuasiVector:
             shifted = quasi_basis_matrix(ts - 0.1 * j)[:, 5]
             assert np.abs(quasi_basis_matrix(ts)[:, 5 + j] - shifted).max() <= 1e-12
 
-    def test_matrix_matches_scalar_recursion(self):
+    def test_matrix_matches_closed_form(self):
         ts = np.array([0.0, 0.05, 0.1, 1 / 3, 0.77, 0.9999999, 1.0])
-        stacked = np.vstack([eval_all_quasi(t) for t in ts])
+        stacked = np.vstack([closed_form_row(t) for t in ts])
         assert np.abs(quasi_basis_matrix(ts) - stacked).max() <= 1e-13
 
     def test_matrix_rejects_bad_input(self):
@@ -135,7 +136,7 @@ class TestQuasiVector:
 
     @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_partition_and_bounds_everywhere(self, t):
-        values = eval_all_quasi(t)
+        values = quasi_row(t)
         assert values.sum() == pytest.approx(1.0, abs=1e-12)
         assert values.min() >= -1e-12
         assert values.max() <= 1.0 + 1e-12
@@ -143,32 +144,30 @@ class TestQuasiVector:
 
 class TestPiecewiseVector:
     def test_left_endpoint(self):
-        values = eval_all_piecewise(0.0, 0.4)
+        values = piecewise_row(0.0, 0.4)
         assert values[0] == 1.0
         assert np.abs(values[1:]).max() == 0.0
 
     def test_junction_interpolates_shared_control(self):
-        values = eval_all_piecewise(0.4, 0.4)
+        values = piecewise_row(0.4, 0.4)
         assert values[14] == 1.0
         assert values.sum() == 1.0
 
     def test_right_endpoint(self):
-        values = eval_all_piecewise(1.0, 0.4)
+        values = piecewise_row(1.0, 0.4)
         assert values[28] == 1.0
 
     def test_one_sided_support_left(self):
-        values = eval_all_piecewise(0.37, 0.4)
+        values = piecewise_row(0.37, 0.4)
         assert values.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(values[15:]).max() == 0.0
 
     def test_one_sided_support_right(self):
-        values = eval_all_piecewise(0.63, 0.4)
+        values = piecewise_row(0.63, 0.4)
         assert np.abs(values[:14]).max() == 0.0
 
     def test_omega_validation(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                eval_all_piecewise(0.5, bad)
             with pytest.raises(ValueError):
                 piecewise_basis_matrix(TS, bad)
 
@@ -180,7 +179,7 @@ class TestPiecewiseVector:
     @pytest.mark.parametrize("omega", [0.2, 0.5, 0.8])
     def test_matrix_matches_scalar(self, omega):
         ts = np.array([0.0, omega / 2, omega, (1 + omega) / 2, 1.0])
-        stacked = np.vstack([eval_all_piecewise(t, omega) for t in ts])
+        stacked = np.vstack([closed_form_piecewise_row(t, omega) for t in ts])
         assert np.abs(piecewise_basis_matrix(ts, omega) - stacked).max() <= 1e-13
 
     def test_curve_continuous_at_junction(self):

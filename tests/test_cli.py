@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qdfit
+from qdfit.basis import piecewise_basis_matrix
 from qdfit.cli import main
 from qdfit.report import parse_report
 
@@ -255,6 +256,13 @@ class TestBasisCommand:
         for line in lines[1:]:
             cells = [float(c) for c in line.split(",")]
             assert sum(cells[1:]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_piecewise_dump_is_the_fit_evaluator(self, tmp_path):
+        out = tmp_path / "basis.csv"
+        assert main(["basis", "--samples", "11", "--omega", "0.4", "--out", str(out)]) == 0
+        rows = [[float(c) for c in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        ts = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_array_equal(np.array(rows), np.column_stack([ts, piecewise_basis_matrix(ts, 0.4)]))
 
     def test_stdout_default(self, capsys):
         assert main(["basis", "--samples", "3"]) == 0

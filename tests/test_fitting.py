@@ -233,6 +233,18 @@ class TestFitFixedOmega:
         candidate = fit_fixed_omega(f, 0.5)
         assert candidate.mse == mse(candidate.discretized, f)
 
+    def test_equals_fit_on_one_candidate_grid(self):
+        rng = np.random.default_rng(12)
+        f = rng.random(45)
+        f /= f.sum()
+        fixed = fit_fixed_omega(f, 0.42)
+        searched = fit(f, [0.42])
+        assert fixed.omega == searched.omega == 0.42
+        np.testing.assert_array_equal(fixed.curve.controls, searched.curve.controls)
+        np.testing.assert_array_equal(fixed.discretized, searched.discretized)
+        assert fixed.mse == searched.mse
+        assert fixed.omega_grid_scores == searched.omega_grid_scores
+
 
 class TestFit:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -284,25 +296,24 @@ class TestFit:
     def test_tie_breaks_to_smaller_omega(self, monkeypatch):
         calls = []
 
-        def stub(f, omega, n_samples=None):
-            calls.append(omega)
-            curve = PiecewiseCurve(omega, np.ones((29, 2)))
-            return fitting.FitCandidate(curve, np.ones(3), 0.125)
+        def stub(signal, data):
+            calls.append(signal)
+            return 0.125
 
-        monkeypatch.setattr(fitting, "fit_fixed_omega", stub)
+        monkeypatch.setattr(fitting, "mse", stub)
         result = fitting.fit(np.ones(3) / 3, omega_grid=[0.7, 0.3, 0.5])
         assert result.omega == 0.3
         assert len(calls) == 3
 
     def test_ill_conditioned_candidates_become_sentinels(self, monkeypatch):
-        real = fitting.fit_fixed_omega
+        real = fitting.assemble_design
 
-        def flaky(f, omega, n_samples=None):
+        def flaky(params, omega):
             if omega < 0.4:
                 raise IllConditionedError("synthetic failure")
-            return real(f, omega, n_samples)
+            return real(params, omega)
 
-        monkeypatch.setattr(fitting, "fit_fixed_omega", flaky)
+        monkeypatch.setattr(fitting, "assemble_design", flaky)
         f = np.full(60, 1.0 / 60)
         result = fitting.fit(f, omega_grid=[0.2, 0.3, 0.5, 0.7])
         scores = dict(result.omega_grid_scores)
@@ -311,10 +322,10 @@ class TestFit:
         assert result.omega == 0.5
 
     def test_all_ill_conditioned_raises(self, monkeypatch):
-        def always_fail(f, omega, n_samples=None):
+        def always_fail(design, points):
             raise IllConditionedError("synthetic failure")
 
-        monkeypatch.setattr(fitting, "fit_fixed_omega", always_fail)
+        monkeypatch.setattr(fitting, "solve_normal_equations", always_fail)
         with pytest.raises(RuntimeError, match="ill-conditioned"):
             fitting.fit(np.ones(40) / 40, omega_grid=[0.4, 0.6])
 

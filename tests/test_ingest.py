@@ -1,3 +1,5 @@
+import csv
+import io
 from datetime import date, timedelta
 
 import numpy as np
@@ -14,8 +16,18 @@ from qdfit.ingest import (
     moving_average_7,
     parse_csv,
     preset_window,
-    to_csv,
 )
+
+
+def to_csv(series: list[RawSeries]) -> str:
+    """Serialize aligned RawSeries back to CSV text (parse_csv round-trips it)."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["date"] + [s.label for s in series])
+    for k, day in enumerate(series[0].dates()):
+        writer.writerow([day.isoformat()] + [repr(float(s.values[k])) for s in series])
+    return out.getvalue()
+
 
 # zero-then-double reporting anomaly (Finland rows of the daily-cases table)
 FINLAND_PATTERN = [293.0, 189.0, 266.0, 0.0, 412.0]

@@ -20,6 +20,18 @@ class TestNormalize:
         with pytest.raises(ValueError, match="zero sum"):
             normalize(np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        signal = np.array([0.1, 0.5, bad, 0.3, 0.1])
+        for call in (lambda: normalize(signal), lambda: quasi_distribution(signal)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+    def test_negative_cells_kept(self):
+        gamma, values = normalize(np.array([0.5, -0.1, 0.6]))
+        assert gamma == pytest.approx(1.0)
+        assert values[1] == pytest.approx(-0.1)
+
     @given(
         st.lists(
             st.floats(min_value=0.01, max_value=50.0, allow_nan=False),
