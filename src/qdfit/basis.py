@@ -13,9 +13,12 @@ control point 14.
 
 There is one evaluator: `quasi_basis_matrix` runs the Cox-de Boor
 recurrence over the explicit knot vector, vectorized over all parameters,
-and `piecewise_basis_matrix` composes two calls of it.  The fit, the curve
-sampler and the `basis` CLI dump all go through it.  The test suite checks
-it against the explicit piecewise polynomials, which live with the tests.
+and `piecewise_basis_matrix` composes two calls of it.  The fit's design
+matrix and the `basis` CLI dump go through it.  Curve evaluation uses the
+pp-form (piecewise power basis) of the same functions: `pp_table` derives
+it from `quasi_basis_matrix` on first use, and `piecewise_spans` locates
+parameters by the same span rule.  The test suite checks both against the
+explicit piecewise polynomials, which live with the tests.
 
 Convention: basis supports are half-open on the right, except that the
 span ending at the domain end is closed there, so the last basis function
@@ -24,12 +27,15 @@ evaluates to 1 at t=1.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 DEGREE = 5
 ORDER = DEGREE + 1
 NUM_QUASI_BASIS = 15
 NUM_PIECEWISE_BASIS = 29
+NUM_SPANS = NUM_QUASI_BASIS - DEGREE  # knot spans of the base family
 
 
 def make_knot_vector() -> np.ndarray:
@@ -40,6 +46,23 @@ def make_knot_vector() -> np.ndarray:
 _KNOTS = make_knot_vector()
 
 
+def _check_params(ts: np.ndarray) -> np.ndarray:
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError("ts must be one-dimensional")
+    if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
+        raise ValueError("parameters must lie in [0, 1]")
+    return ts
+
+
+def _knot_spans(ts: np.ndarray) -> np.ndarray:
+    """Index i into the knot vector of the span [knot_i, knot_i+1) holding each t;
+    t = 1 belongs to the last nonempty span."""
+    spans = np.searchsorted(_KNOTS, ts, side="right") - 1
+    np.clip(spans, DEGREE, NUM_QUASI_BASIS - 1, out=spans)
+    return spans
+
+
 def quasi_basis_matrix(ts: np.ndarray) -> np.ndarray:
     """Base-family design matrix: row k holds the 15 basis values at ts[k].
 
@@ -47,14 +70,9 @@ def quasi_basis_matrix(ts: np.ndarray) -> np.ndarray:
     (only the ORDER nonzero functions per knot span are computed, then
     scattered into the full 15-column row).
     """
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1:
-        raise ValueError("ts must be one-dimensional")
-    if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
-        raise ValueError("parameters must lie in [0, 1]")
+    ts = _check_params(ts)
     m = ts.shape[0]
-    spans = np.searchsorted(_KNOTS, ts, side="right") - 1
-    np.clip(spans, DEGREE, NUM_QUASI_BASIS - 1, out=spans)
+    spans = _knot_spans(ts)
 
     vals = np.zeros((m, ORDER))
     vals[:, 0] = 1.0
@@ -99,3 +117,50 @@ def piecewise_basis_matrix(ts: np.ndarray, omega: float) -> np.ndarray:
         us = (ts[~left] - omega) / (1.0 - omega)
         out[~left, NUM_QUASI_BASIS - 1:] = quasi_basis_matrix(us)
     return out
+
+
+# ---------------------------------------------------------------------------
+# pp-form: the basis as one polynomial per knot span
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def pp_table() -> np.ndarray:
+    """Power-basis coefficients of the base family, shape (10, 6, 6), read-only.
+
+    Entry [s, j, p] is the coefficient of u**p in N_{s+j} on span s, in the
+    local variable u = 10 t - s (the other base functions vanish there).
+    It is B-form to pp-form conversion (de Boor, A Practical Guide to
+    Splines), done by one 6x6 Vandermonde solve per span against
+    `quasi_basis_matrix` at interior points.  Built on first use, so that
+    importing qdfit does no numerical work.
+    """
+    us = (np.arange(ORDER) + 0.5) / ORDER
+    vandermonde = np.vander(us, ORDER, increasing=True)
+    table = np.empty((NUM_SPANS, ORDER, ORDER))
+    for s in range(NUM_SPANS):
+        values = quasi_basis_matrix((s + us) / NUM_SPANS)[:, s : s + ORDER]
+        table[s] = np.linalg.solve(vandermonde, values).T
+    table.flags.writeable = False
+    return table
+
+
+def piecewise_spans(ts: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """Locate parameters for pp-form evaluation of the two-piece family.
+
+    Returns, per t, the span index (0..9 on the left segment, 10..19 on the
+    right) and the local variable u = 10 tau - s on that span, where tau is
+    the segment's parameter.  Segments and spans follow the rules of
+    `piecewise_basis_matrix`: t < omega goes left.
+    """
+    omega = _check_omega(omega)
+    ts = _check_params(ts)
+    # in-place steps: the fit calls this per candidate on 20 samples per day
+    right = ts >= omega
+    tau = ts / omega
+    np.divide(ts - omega, 1.0 - omega, out=tau, where=right)
+    spans = _knot_spans(tau)
+    spans -= DEGREE
+    tau *= NUM_SPANS
+    tau -= spans  # now u
+    np.add(spans, NUM_SPANS, out=spans, where=right)
+    return spans, tau

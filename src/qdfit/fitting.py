@@ -6,8 +6,9 @@ scores every segmentation-point candidate omega on the grid in one loop:
     data (k, f_k)  ->  chord-length parameters t_k              (once)
                    ->  design matrix  phi[k, i] = N_i(t_k; omega)
                    ->  normal equations  (phi' phi + ridge) C = phi' P
-                   ->  dense sampling of the fitted curve
-                   ->  discretization back onto the day grid
+                   ->  x(t) of the fitted curve at the uniform samples, in pp-form
+                   ->  discretization back onto the day grid, evaluating
+                       y(t) only at the samples it uses
                    ->  mean square error against f_k
 
 and keeps the best candidate seen so far.  `fit_fixed_omega` is `fit` on a
@@ -21,7 +22,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import NUM_PIECEWISE_BASIS, piecewise_basis_matrix
+from .basis import (
+    DEGREE,
+    NUM_PIECEWISE_BASIS,
+    NUM_QUASI_BASIS,
+    NUM_SPANS,
+    piecewise_basis_matrix,
+    piecewise_spans,
+    pp_table,
+)
 
 # ridge is RIDGE_SCALE * trace(phi'phi)/29; rescues candidates where one
 # segment holds few points without perturbing well-posed solves
@@ -56,7 +65,32 @@ class PiecewiseCurve:
     def at(self, ts: np.ndarray) -> np.ndarray:
         """Curve points at the given parameters, shape (len(ts), 2)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return piecewise_basis_matrix(ts, self.omega) @ self.controls
+        return _horner(_span_polynomials(self.controls), *piecewise_spans(ts, self.omega))
+
+
+def _span_polynomials(controls: np.ndarray) -> np.ndarray:
+    """The curve's power-basis coefficients per span, shape (20, 6, 2).
+
+    Span s of a segment combines that segment's controls s..s+5 (the left
+    segment holds controls 0..14, the right one 14..28) with the base
+    family's pp table: entry [span, p] is the u**p coefficient.
+    """
+    windows = np.arange(NUM_SPANS)[:, None] + np.arange(DEGREE + 1)
+    table = pp_table().transpose(0, 2, 1)
+    left = table @ controls[windows]
+    right = table @ controls[NUM_QUASI_BASIS - 1 + windows]
+    return np.concatenate([left, right])
+
+
+def _horner(polys: np.ndarray, spans: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Evaluate span polynomials polys[span, power, ...] at (spans, us) by Horner's rule."""
+    us = us.reshape(us.shape + (1,) * (polys.ndim - 2))
+    by_power = np.moveaxis(polys, 1, 0)
+    out = by_power[DEGREE].take(spans, axis=0)
+    for power in range(DEGREE - 1, -1, -1):
+        out *= us
+        out += by_power[power].take(spans, axis=0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -135,11 +169,15 @@ def solve_normal_equations(design: np.ndarray, points: np.ndarray) -> np.ndarray
     return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
-def sample_curve(curve: PiecewiseCurve, n: int) -> np.ndarray:
-    """Evaluate the curve at n uniform parameters, endpoints included."""
+def _sample_params(n: int) -> np.ndarray:
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    return curve.at(np.linspace(0.0, 1.0, n))
+    return np.linspace(0.0, 1.0, n)
+
+
+def sample_curve(curve: PiecewiseCurve, n: int) -> np.ndarray:
+    """Evaluate the curve at n uniform parameters, endpoints included."""
+    return curve.at(_sample_params(n))
 
 
 def discretize(samples: np.ndarray, n_days: int) -> np.ndarray:
@@ -160,6 +198,24 @@ def discretize(samples: np.ndarray, n_days: int) -> np.ndarray:
     pos = np.searchsorted(xs_sorted, np.arange(1, n_days + 1, dtype=float), side="left")
     out = np.where(pos > 0, ys_sorted[np.maximum(pos - 1, 0)], ys[0])
     return out
+
+
+def _discretize_curve(curve: PiecewiseCurve, ts: np.ndarray, n_days: int) -> np.ndarray:
+    """`discretize(curve.at(ts), n_days)`, evaluating y only at the samples it uses.
+
+    When x is nondecreasing over the samples, the stable argsort in
+    `discretize` is the identity, so each day's sample is found by one
+    search on x and only those samples' y is evaluated.  Otherwise (or if
+    x holds a NaN) all samples go through `discretize`.
+    """
+    polys = _span_polynomials(curve.controls)
+    spans, us = piecewise_spans(ts, curve.omega)
+    xs = _horner(polys[..., 0], spans, us)
+    if not np.all(xs[1:] >= xs[:-1]):
+        return discretize(_horner(polys, spans, us), n_days)
+    pos = np.searchsorted(xs, np.arange(1, n_days + 1, dtype=float), side="left")
+    used = np.maximum(pos - 1, 0)  # pos == 0: no sample left of the day, take the first
+    return _horner(polys[..., 1], spans[used], us[used])
 
 
 def mse(signal: np.ndarray, data) -> float:
@@ -194,13 +250,18 @@ def fit(
 ) -> FitResult:
     """Grid search over segmentation points; return the lowest-MSE candidate.
 
-    Exact ties go to the smaller omega.  Candidates whose normal equations
+    The data need at least 29 values, one per control point.  Exact ties
+    go to the smaller omega.  Candidates whose normal equations
     cannot be factorized are recorded with an infinite score and skipped;
     if every candidate fails, IllConditionedError (a RuntimeError) is
     raised.  The selection depends only on the candidate set, not on
     evaluation order.
     """
     f = _data_values(data)
+    if f.size < NUM_PIECEWISE_BASIS:
+        raise ValueError(
+            f"need at least {NUM_PIECEWISE_BASIS} data points (one per control), got {f.size}"
+        )
     grid = np.asarray(
         default_omega_grid() if omega_grid is None else omega_grid, dtype=float
     )
@@ -211,8 +272,7 @@ def fit(
 
     points = data_points(f)
     params = chord_length_params(points)
-    if n_samples is None:
-        n_samples = SAMPLES_PER_DAY * f.size
+    ts = _sample_params(SAMPLES_PER_DAY * f.size if n_samples is None else n_samples)
 
     scores: list[tuple[float, float]] = []
     best = None  # (mse, omega, curve, discretized) of the best candidate so far
@@ -223,7 +283,7 @@ def fit(
             scores.append((omega, float("inf")))
             continue
         curve = PiecewiseCurve(omega, controls)
-        discretized = discretize(sample_curve(curve, n_samples), f.size)
+        discretized = _discretize_curve(curve, ts, f.size)
         score = mse(discretized, f)
         scores.append((omega, score))
         if best is None or (score, omega) < best[:2]:

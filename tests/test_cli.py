@@ -287,3 +287,24 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, qdfit.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_does_no_numerical_work():
+    # the pp table is built on first use; importing must not build it or
+    # call into LAPACK or einsum (import work shows in every CLI process)
+    src = os.path.dirname(os.path.dirname(qdfit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import numpy as np\n"
+        "calls = []\n"
+        "def spy(module, name):\n"
+        "    real = getattr(module, name)\n"
+        "    setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))\n"
+        "for name in ('solve', 'cholesky', 'inv', 'lstsq', 'svd', 'qr', 'eigh'):\n"
+        "    spy(np.linalg, name)\n"
+        "spy(np, 'einsum')\n"
+        "import qdfit.cli, qdfit.basis\n"
+        "print(qdfit.basis.pp_table.cache_info().currsize, calls)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 []"

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import qdfit.basis as basis
 import qdfit.fitting as fitting
+from qdfit.basis import NUM_PIECEWISE_BASIS, piecewise_basis_matrix
 from qdfit.fitting import (
     IllConditionedError,
     PiecewiseCurve,
@@ -155,6 +157,79 @@ class TestSampleCurve:
             PiecewiseCurve(0.5, np.ones((28, 2)))
 
 
+class TestCurveEvaluation:
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.01, max_value=0.99),
+        st.floats(min_value=1e-3, max_value=1e3),
+    )
+    def test_pp_form_matches_basis_matrix(self, seed, omega, scale):
+        rng = np.random.default_rng(seed)
+        controls = scale * rng.normal(size=(NUM_PIECEWISE_BASIS, 2))
+        knots = np.arange(11) / 10.0
+        ts = np.concatenate(
+            [[0.0, 1.0, omega], knots * omega, omega + (1.0 - omega) * knots, rng.random(50)]
+        )
+        expected = piecewise_basis_matrix(ts, omega) @ controls
+        actual = PiecewiseCurve(omega, controls).at(ts)
+        assert np.abs(actual - expected).max() <= 1e-13 * np.abs(controls).max()
+
+    @pytest.mark.parametrize("t", [-1e-12, -0.5, 1.0 + 1e-12, 2.0])
+    def test_parameters_outside_unit_interval_rejected(self, t):
+        curve = PiecewiseCurve(0.4, np.ones((29, 2)))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            curve.at(np.array([0.5, t]))
+
+
+class TestFusedDiscretization:
+    """fit discretizes from x alone when x(t) is nondecreasing; it must give
+    exactly what `discretize` gives on the full samples."""
+
+    @staticmethod
+    def fused(curve, n_samples, n_days, monkeypatch):
+        # the monotone branch never calls discretize: make it fail if it does
+        def fallback(samples, n):
+            raise AssertionError("took the argsort fallback")
+
+        expected = discretize(sample_curve(curve, n_samples), n_days)
+        with monkeypatch.context() as patch:
+            patch.setattr(fitting, "discretize", fallback)
+            out = fitting._discretize_curve(curve, np.linspace(0.0, 1.0, n_samples), n_days)
+        np.testing.assert_array_equal(out, expected)
+        return out
+
+    def test_equal_x_ties_take_the_largest_index(self, monkeypatch):
+        controls = np.column_stack([np.zeros(29), np.linspace(1.0, 2.0, 29)])
+        curve = PiecewiseCurve(0.4, controls)
+        assert np.all(sample_curve(curve, 200)[:, 0] == 0.0)
+        out = self.fused(curve, 200, 3, monkeypatch)
+        np.testing.assert_array_equal(out, sample_curve(curve, 200)[-1, 1])
+
+    def test_day_without_earlier_sample_takes_the_first(self, monkeypatch):
+        curve = linear_day_curve(0.4, 50)
+        shifted = PiecewiseCurve(0.4, curve.controls + [0.5, 0.0])
+        out = self.fused(shifted, 1000, 50, monkeypatch)
+        assert out[0] == sample_curve(shifted, 1000)[0, 1]
+
+    @pytest.mark.parametrize("n_samples", [2, 3000])
+    def test_sample_counts(self, n_samples, monkeypatch):
+        curve = linear_day_curve(0.6, 60)
+        self.fused(curve, n_samples, 60, monkeypatch)
+        f = roundtrip_data(curve, 60, n_samples)
+        result = fit(f, [0.6], n_samples)
+        np.testing.assert_array_equal(
+            result.discretized, discretize(sample_curve(result.curve, n_samples), 60)
+        )
+
+    def test_non_monotone_x_goes_through_discretize(self):
+        rng = np.random.default_rng(21)
+        curve = PiecewiseCurve(0.3, rng.normal(size=(29, 2)))
+        xs = sample_curve(curve, 400)[:, 0]
+        assert np.any(np.diff(xs) < 0.0)
+        out = fitting._discretize_curve(curve, np.linspace(0.0, 1.0, 400), 5)
+        np.testing.assert_array_equal(out, discretize(sample_curve(curve, 400), 5))
+
+
 class TestDiscretize:
     def test_max_below_rule(self):
         samples = np.array([[0.5, 10.0], [1.5, 20.0], [2.5, 30.0]])
@@ -255,6 +330,34 @@ class TestFit:
             with pytest.raises(ValueError, match="finite"):
                 call()
 
+    @pytest.mark.parametrize("n_days", [3, 28])
+    def test_fewer_points_than_controls_rejected(self, n_days):
+        f = np.full(n_days, 1.0 / n_days)
+        for call in (lambda: fit(f), lambda: fit_fixed_omega(f, 0.5)):
+            with pytest.raises(ValueError, match="at least 29"):
+                call()
+
+    def test_as_many_points_as_controls_accepted(self):
+        f = np.full(NUM_PIECEWISE_BASIS, 1.0 / NUM_PIECEWISE_BASIS)
+        assert fit(f, omega_grid=[0.5]).discretized.shape == (NUM_PIECEWISE_BASIS,)
+
+    def test_basis_rows_requested_stay_within_the_design(self, monkeypatch):
+        # a 500-day fit asks the basis evaluator for the 81 designs' rows and
+        # the one-time pp table (10 spans x 6 points); curve evaluation adds none
+        real = basis.quasi_basis_matrix
+        rows = []
+
+        def counting(ts):
+            rows.append(len(ts))
+            return real(ts)
+
+        monkeypatch.setattr(basis, "quasi_basis_matrix", counting)
+        basis.pp_table.cache_clear()
+        rng = np.random.default_rng(13)
+        f = rng.random(500)
+        fit(f / f.sum())
+        assert sum(rows) <= 81 * 500 + 60
+
     def test_singleton_grid(self):
         f = np.full(60, 1.0 / 60)
         result = fit(f, omega_grid=[0.5])
@@ -301,7 +404,7 @@ class TestFit:
             return 0.125
 
         monkeypatch.setattr(fitting, "mse", stub)
-        result = fitting.fit(np.ones(3) / 3, omega_grid=[0.7, 0.3, 0.5])
+        result = fitting.fit(np.ones(30) / 30, omega_grid=[0.7, 0.3, 0.5])
         assert result.omega == 0.3
         assert len(calls) == 3
 

@@ -14,7 +14,9 @@ import json
 import numpy as np
 import pytest
 
+import qdfit.cli
 from golden_cases import golden_files, run_scenario, scenarios
+from qdfit.fitting import discretize, fit, sample_curve
 
 STATS_RTOL = 1e-7
 SCORE_RTOL, SCORE_ATOL = 1e-4, 1e-12
@@ -64,3 +66,28 @@ def test_outputs_match_golden_corpus(scenario, tmp_path):
                 _check_peaks(column["peaks"], column_expected["peaks"], f"{where} {column['label']}")
         else:
             _check_report(json.loads(actual[name]), json.loads(text), where)
+
+
+@pytest.mark.parametrize("name", ["min_window_29", "two_bump_500"])
+def test_fused_discretization_matches_argsort_rule(name, tmp_path, monkeypatch):
+    # every grid candidate of the scenario's fit, fused (x-only search, y at the
+    # used samples) against `discretize` on all samples; the 29-day window has
+    # candidates with non-monotone x(t), so both branches run
+    calls = []
+
+    def recording(data, omega_grid, n_samples):
+        calls.append((data, omega_grid, n_samples))
+        return fit(data, omega_grid, n_samples)
+
+    monkeypatch.setattr(qdfit.cli, "fit", recording)
+    run_scenario(next(s for s in scenarios() if s.name == name), tmp_path)
+    (data, grid, n_samples), = calls
+    monotone = 0
+    for omega in grid:
+        result = fit(data, [omega], n_samples)
+        samples = sample_curve(result.curve, n_samples)
+        np.testing.assert_array_equal(result.discretized, discretize(samples, data.n_days))
+        monotone += bool(np.all(np.diff(samples[:, 0]) >= 0.0))
+    assert monotone > 0
+    if name == "min_window_29":
+        assert monotone < len(grid)
