@@ -16,9 +16,11 @@ recurrence over the explicit knot vector, vectorized over all parameters,
 and `piecewise_basis_matrix` composes two calls of it.  The fit's design
 matrix and the `basis` CLI dump go through it.  Curve evaluation uses the
 pp-form (piecewise power basis) of the same functions: `pp_table` derives
-it from `quasi_basis_matrix` on first use, and `piecewise_spans` locates
-parameters by the same span rule.  The test suite checks both against the
-explicit piecewise polynomials, which live with the tests.
+it from `quasi_basis_matrix` on first use, `pp_curve` folds a curve's
+controls into it, `piecewise_spans` locates parameters by the same segment
+and span rules, and `pp_eval` evaluates by Horner's rule.  The test
+suite checks both forms against the explicit piecewise polynomials, which
+live with the tests.
 
 Convention: basis supports are half-open on the right, except that the
 span ending at the domain end is closed there, so the last basis function
@@ -110,13 +112,25 @@ def piecewise_basis_matrix(ts: np.ndarray, omega: float) -> np.ndarray:
     omega = _check_omega(omega)
     ts = np.asarray(ts, dtype=float)
     out = np.zeros((ts.shape[0], NUM_PIECEWISE_BASIS))
-    left = ts < omega
+    right, tau = _segment_params(ts, omega)
+    left = ~right
     if left.any():
-        out[left, :NUM_QUASI_BASIS] = quasi_basis_matrix(ts[left] / omega)
-    if (~left).any():
-        us = (ts[~left] - omega) / (1.0 - omega)
-        out[~left, NUM_QUASI_BASIS - 1:] = quasi_basis_matrix(us)
+        out[left, :NUM_QUASI_BASIS] = quasi_basis_matrix(tau[left])
+    if right.any():
+        out[right, NUM_QUASI_BASIS - 1:] = quasi_basis_matrix(tau[right])
     return out
+
+
+def _segment_params(ts: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """Split parameters at omega: t < omega goes to the left segment.
+
+    Returns the right-segment mask and each t's segment parameter tau,
+    t/omega on the left and (t - omega)/(1 - omega) on the right.
+    """
+    right = ~(ts < omega)
+    tau = ts / omega
+    np.divide(ts - omega, 1.0 - omega, out=tau, where=right)
+    return right, tau
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +163,45 @@ def piecewise_spans(ts: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarra
 
     Returns, per t, the span index (0..9 on the left segment, 10..19 on the
     right) and the local variable u = 10 tau - s on that span, where tau is
-    the segment's parameter.  Segments and spans follow the rules of
-    `piecewise_basis_matrix`: t < omega goes left.
+    the segment's parameter from the split `piecewise_basis_matrix` uses.
     """
     omega = _check_omega(omega)
     ts = _check_params(ts)
     # in-place steps: the fit calls this per candidate on 20 samples per day
-    right = ts >= omega
-    tau = ts / omega
-    np.divide(ts - omega, 1.0 - omega, out=tau, where=right)
+    right, tau = _segment_params(ts, omega)
     spans = _knot_spans(tau)
     spans -= DEGREE
     tau *= NUM_SPANS
     tau -= spans  # now u
     np.add(spans, NUM_SPANS, out=spans, where=right)
     return spans, tau
+
+
+def pp_curve(controls: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients of the curve sum_i N_i C_i per span.
+
+    `controls` has 29 rows (any trailing shape); the result has shape
+    (20, 6) + controls.shape[1:], entry [span, p] being the u**p
+    coefficient on the spans `piecewise_spans` numbers.  Span s of a
+    segment combines that segment's controls s..s+5 (the left segment
+    holds controls 0..14, the right one 14..28) with `pp_table`.
+    """
+    windows = np.arange(NUM_SPANS)[:, None] + np.arange(ORDER)
+    table = pp_table().transpose(0, 2, 1)
+    left = table @ controls[windows]
+    right = table @ controls[NUM_QUASI_BASIS - 1 + windows]
+    return np.concatenate([left, right])
+
+
+def pp_eval(polys: np.ndarray, spans: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Evaluate `pp_curve` coefficients at `piecewise_spans` output by Horner's rule.
+
+    The result has shape spans.shape + polys.shape[2:].
+    """
+    us = us.reshape(us.shape + (1,) * (polys.ndim - 2))
+    by_power = np.moveaxis(polys, 1, 0)
+    out = by_power[DEGREE].take(spans, axis=0)
+    for power in range(DEGREE - 1, -1, -1):
+        out *= us
+        out += by_power[power].take(spans, axis=0)
+    return out

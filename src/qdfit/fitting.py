@@ -23,13 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from .basis import (
-    DEGREE,
     NUM_PIECEWISE_BASIS,
-    NUM_QUASI_BASIS,
-    NUM_SPANS,
     piecewise_basis_matrix,
     piecewise_spans,
-    pp_table,
+    pp_curve,
+    pp_eval,
 )
 
 # ridge is RIDGE_SCALE * trace(phi'phi)/29; rescues candidates where one
@@ -65,32 +63,7 @@ class PiecewiseCurve:
     def at(self, ts: np.ndarray) -> np.ndarray:
         """Curve points at the given parameters, shape (len(ts), 2)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return _horner(_span_polynomials(self.controls), *piecewise_spans(ts, self.omega))
-
-
-def _span_polynomials(controls: np.ndarray) -> np.ndarray:
-    """The curve's power-basis coefficients per span, shape (20, 6, 2).
-
-    Span s of a segment combines that segment's controls s..s+5 (the left
-    segment holds controls 0..14, the right one 14..28) with the base
-    family's pp table: entry [span, p] is the u**p coefficient.
-    """
-    windows = np.arange(NUM_SPANS)[:, None] + np.arange(DEGREE + 1)
-    table = pp_table().transpose(0, 2, 1)
-    left = table @ controls[windows]
-    right = table @ controls[NUM_QUASI_BASIS - 1 + windows]
-    return np.concatenate([left, right])
-
-
-def _horner(polys: np.ndarray, spans: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Evaluate span polynomials polys[span, power, ...] at (spans, us) by Horner's rule."""
-    us = us.reshape(us.shape + (1,) * (polys.ndim - 2))
-    by_power = np.moveaxis(polys, 1, 0)
-    out = by_power[DEGREE].take(spans, axis=0)
-    for power in range(DEGREE - 1, -1, -1):
-        out *= us
-        out += by_power[power].take(spans, axis=0)
-    return out
+        return pp_eval(pp_curve(self.controls), *piecewise_spans(ts, self.omega))
 
 
 @dataclass(frozen=True)
@@ -190,32 +163,27 @@ def discretize(samples: np.ndarray, n_days: int) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("no samples to discretize")
-    xs = samples[:, 0]
-    ys = samples[:, 1]
+    return samples[_day_samples(samples[:, 0], n_days), 1]
+
+
+def _day_samples(xs: np.ndarray, n_days: int) -> np.ndarray:
+    """Index of the sample each day k = 1..n_days takes, by the rule of `discretize`."""
     order = np.argsort(xs, kind="stable")  # stable: equal x keeps index order
-    xs_sorted = xs[order]
-    ys_sorted = ys[order]
-    pos = np.searchsorted(xs_sorted, np.arange(1, n_days + 1, dtype=float), side="left")
-    out = np.where(pos > 0, ys_sorted[np.maximum(pos - 1, 0)], ys[0])
-    return out
+    days = np.arange(1, n_days + 1, dtype=float)
+    pos = np.searchsorted(xs, days, side="left", sorter=order)
+    return np.where(pos > 0, order[np.maximum(pos - 1, 0)], 0)
 
 
 def _discretize_curve(curve: PiecewiseCurve, ts: np.ndarray, n_days: int) -> np.ndarray:
     """`discretize(curve.at(ts), n_days)`, evaluating y only at the samples it uses.
 
-    When x is nondecreasing over the samples, the stable argsort in
-    `discretize` is the identity, so each day's sample is found by one
-    search on x and only those samples' y is evaluated.  Otherwise (or if
-    x holds a NaN) all samples go through `discretize`.
+    x is evaluated at every sample; y only at the <= n_days samples the
+    day rule picks.
     """
-    polys = _span_polynomials(curve.controls)
+    polys = pp_curve(curve.controls)
     spans, us = piecewise_spans(ts, curve.omega)
-    xs = _horner(polys[..., 0], spans, us)
-    if not np.all(xs[1:] >= xs[:-1]):
-        return discretize(_horner(polys, spans, us), n_days)
-    pos = np.searchsorted(xs, np.arange(1, n_days + 1, dtype=float), side="left")
-    used = np.maximum(pos - 1, 0)  # pos == 0: no sample left of the day, take the first
-    return _horner(polys[..., 1], spans[used], us[used])
+    used = _day_samples(pp_eval(polys[..., 0], spans, us), n_days)
+    return pp_eval(polys[..., 1], spans[used], us[used])
 
 
 def mse(signal: np.ndarray, data) -> float:

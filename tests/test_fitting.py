@@ -182,52 +182,45 @@ class TestCurveEvaluation:
 
 
 class TestFusedDiscretization:
-    """fit discretizes from x alone when x(t) is nondecreasing; it must give
-    exactly what `discretize` gives on the full samples."""
+    """fit picks each day's sample from x and evaluates y only there; it must
+    give exactly what `discretize` gives on the full samples."""
 
     @staticmethod
-    def fused(curve, n_samples, n_days, monkeypatch):
-        # the monotone branch never calls discretize: make it fail if it does
-        def fallback(samples, n):
-            raise AssertionError("took the argsort fallback")
-
+    def fused(curve, n_samples, n_days):
         expected = discretize(sample_curve(curve, n_samples), n_days)
-        with monkeypatch.context() as patch:
-            patch.setattr(fitting, "discretize", fallback)
-            out = fitting._discretize_curve(curve, np.linspace(0.0, 1.0, n_samples), n_days)
+        out = fitting._discretize_curve(curve, np.linspace(0.0, 1.0, n_samples), n_days)
         np.testing.assert_array_equal(out, expected)
         return out
 
-    def test_equal_x_ties_take_the_largest_index(self, monkeypatch):
+    def test_equal_x_ties_take_the_largest_index(self):
         controls = np.column_stack([np.zeros(29), np.linspace(1.0, 2.0, 29)])
         curve = PiecewiseCurve(0.4, controls)
         assert np.all(sample_curve(curve, 200)[:, 0] == 0.0)
-        out = self.fused(curve, 200, 3, monkeypatch)
+        out = self.fused(curve, 200, 3)
         np.testing.assert_array_equal(out, sample_curve(curve, 200)[-1, 1])
 
-    def test_day_without_earlier_sample_takes_the_first(self, monkeypatch):
+    def test_day_without_earlier_sample_takes_the_first(self):
         curve = linear_day_curve(0.4, 50)
         shifted = PiecewiseCurve(0.4, curve.controls + [0.5, 0.0])
-        out = self.fused(shifted, 1000, 50, monkeypatch)
+        out = self.fused(shifted, 1000, 50)
         assert out[0] == sample_curve(shifted, 1000)[0, 1]
 
     @pytest.mark.parametrize("n_samples", [2, 3000])
-    def test_sample_counts(self, n_samples, monkeypatch):
+    def test_sample_counts(self, n_samples):
         curve = linear_day_curve(0.6, 60)
-        self.fused(curve, n_samples, 60, monkeypatch)
+        self.fused(curve, n_samples, 60)
         f = roundtrip_data(curve, 60, n_samples)
         result = fit(f, [0.6], n_samples)
         np.testing.assert_array_equal(
             result.discretized, discretize(sample_curve(result.curve, n_samples), 60)
         )
 
-    def test_non_monotone_x_goes_through_discretize(self):
+    def test_non_monotone_x(self):
         rng = np.random.default_rng(21)
         curve = PiecewiseCurve(0.3, rng.normal(size=(29, 2)))
         xs = sample_curve(curve, 400)[:, 0]
         assert np.any(np.diff(xs) < 0.0)
-        out = fitting._discretize_curve(curve, np.linspace(0.0, 1.0, 400), 5)
-        np.testing.assert_array_equal(out, discretize(sample_curve(curve, 400), 5))
+        self.fused(curve, 400, 5)
 
 
 class TestDiscretize:

@@ -72,7 +72,7 @@ def test_outputs_match_golden_corpus(scenario, tmp_path):
 def test_fused_discretization_matches_argsort_rule(name, tmp_path, monkeypatch):
     # every grid candidate of the scenario's fit, fused (x-only search, y at the
     # used samples) against `discretize` on all samples; the 29-day window has
-    # candidates with non-monotone x(t), so both branches run
+    # candidates with non-monotone x(t), so the argsort reorders there
     calls = []
 
     def recording(data, omega_grid, n_samples):
