@@ -13,14 +13,20 @@ control point 14.
 
 There is one evaluator: `quasi_basis_matrix` runs the Cox-de Boor
 recurrence over the explicit knot vector, vectorized over all parameters,
-and `piecewise_basis_matrix` composes two calls of it.  The fit's design
-matrix and the `basis` CLI dump go through it.  Curve evaluation uses the
-pp-form (piecewise power basis) of the same functions: `pp_table` derives
-it from `quasi_basis_matrix` on first use, `pp_curve` folds a curve's
-controls into it, `piecewise_spans` locates parameters by the same segment
-and span rules, and `pp_eval` evaluates by Horner's rule.  The test
-suite checks both forms against the explicit piecewise polynomials, which
-live with the tests.
+and `piecewise_basis_matrix` calls it once on both segments' parameters.
+The fit's design matrix and the `basis` CLI dump go through it.  Curve
+evaluation uses the pp-form (piecewise power basis) of the same functions:
+`pp_table` derives it from `quasi_basis_matrix` on first use, `pp_curve`
+folds a curve's controls into it, `piecewise_spans` locates parameters by
+the same segment and span rules, and `pp_eval` evaluates by Horner's rule.
+The test suite checks both forms against the explicit piecewise
+polynomials, which live with the tests.
+
+`piecewise_basis_matrix`, `piecewise_spans` and `pp_curve` also take a
+stack of g curves (a 1-D array of omegas, controls of shape (g, 29, d)),
+so that a fit scores many segmentation points per call.  Every row is
+computed exactly as for one curve, so the stacked results equal the
+per-curve ones bit for bit.
 
 Convention: basis supports are half-open on the right, except that the
 span ending at the domain end is closed there, so the last basis function
@@ -100,33 +106,39 @@ def quasi_basis_matrix(ts: np.ndarray) -> np.ndarray:
 # Two-piece basis
 # ---------------------------------------------------------------------------
 
-def _check_omega(omega: float) -> float:
-    omega = float(omega)
-    if not 0.0 < omega < 1.0:
+def _check_omega(omega) -> np.ndarray:
+    """A segmentation point, or a 1-D array of them, as an array inside (0, 1)."""
+    omega = np.asarray(omega, dtype=float)
+    if omega.ndim > 1:
+        raise ValueError("omega must be a number or a 1-D array")
+    if not np.all((0.0 < omega) & (omega < 1.0)):
         raise ValueError(f"segmentation point must lie in (0, 1), got {omega}")
     return omega
 
 
-def piecewise_basis_matrix(ts: np.ndarray, omega: float) -> np.ndarray:
-    """Two-piece design matrix: row k holds the 29 basis values at ts[k]."""
-    omega = _check_omega(omega)
-    ts = np.asarray(ts, dtype=float)
-    out = np.zeros((ts.shape[0], NUM_PIECEWISE_BASIS))
-    right, tau = _segment_params(ts, omega)
-    left = ~right
-    if left.any():
-        out[left, :NUM_QUASI_BASIS] = quasi_basis_matrix(tau[left])
-    if right.any():
-        out[right, NUM_QUASI_BASIS - 1:] = quasi_basis_matrix(tau[right])
-    return out
+def piecewise_basis_matrix(ts: np.ndarray, omega) -> np.ndarray:
+    """Two-piece design matrix: row k holds the 29 basis values at ts[k].
+
+    For a 1-D array of g omegas the result is the stack (g, len(ts), 29)
+    of the matrices for each omega.
+    """
+    right, tau = _segment_params(_check_params(ts), _check_omega(omega))
+    rows = quasi_basis_matrix(tau.ravel())
+    right = right.reshape(-1, 1)
+    out = np.zeros((right.size, NUM_PIECEWISE_BASIS))
+    np.copyto(out[:, :NUM_QUASI_BASIS], rows, where=~right)
+    np.copyto(out[:, NUM_QUASI_BASIS - 1 :], rows, where=right)
+    return out.reshape(tau.shape + (NUM_PIECEWISE_BASIS,))
 
 
-def _segment_params(ts: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
+def _segment_params(ts: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split parameters at omega: t < omega goes to the left segment.
 
     Returns the right-segment mask and each t's segment parameter tau,
-    t/omega on the left and (t - omega)/(1 - omega) on the right.
+    t/omega on the left and (t - omega)/(1 - omega) on the right, with
+    one row per omega when omega is a 1-D array.
     """
+    omega = omega[..., None]
     right = ~(ts < omega)
     tau = ts / omega
     np.divide(ts - omega, 1.0 - omega, out=tau, where=right)
@@ -158,39 +170,45 @@ def pp_table() -> np.ndarray:
     return table
 
 
-def piecewise_spans(ts: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
+def piecewise_spans(ts: np.ndarray, omega) -> tuple[np.ndarray, np.ndarray]:
     """Locate parameters for pp-form evaluation of the two-piece family.
 
     Returns, per t, the span index (0..9 on the left segment, 10..19 on the
     right) and the local variable u = 10 tau - s on that span, where tau is
     the segment's parameter from the split `piecewise_basis_matrix` uses.
+    For a 1-D array of g omegas both have shape (g, len(ts)), and row i's
+    spans are offset by 20 i: they index the stack `pp_curve` returns for
+    g controls.
     """
     omega = _check_omega(omega)
     ts = _check_params(ts)
-    # in-place steps: the fit calls this per candidate on 20 samples per day
+    # in-place steps: the fit calls this on 20 samples per day per candidate
     right, tau = _segment_params(ts, omega)
     spans = _knot_spans(tau)
     spans -= DEGREE
     tau *= NUM_SPANS
     tau -= spans  # now u
     np.add(spans, NUM_SPANS, out=spans, where=right)
+    if omega.ndim:
+        spans[1:] += 2 * NUM_SPANS * np.arange(1, omega.size)[:, None]
     return spans, tau
 
 
 def pp_curve(controls: np.ndarray) -> np.ndarray:
     """Power-basis coefficients of the curve sum_i N_i C_i per span.
 
-    `controls` has 29 rows (any trailing shape); the result has shape
-    (20, 6) + controls.shape[1:], entry [span, p] being the u**p
-    coefficient on the spans `piecewise_spans` numbers.  Span s of a
-    segment combines that segment's controls s..s+5 (the left segment
-    holds controls 0..14, the right one 14..28) with `pp_table`.
+    `controls` has shape (29, d), or (g, 29, d) for g curves; the result
+    has shape (20 g, 6, d), entry [span, p] being the u**p coefficient on
+    the spans `piecewise_spans` numbers (curve i owns spans 20 i .. 20 i +
+    19).  Span s of a segment combines that segment's controls s..s+5 (the
+    left segment holds controls 0..14, the right one 14..28) with
+    `pp_table`.
     """
     windows = np.arange(NUM_SPANS)[:, None] + np.arange(ORDER)
     table = pp_table().transpose(0, 2, 1)
-    left = table @ controls[windows]
-    right = table @ controls[NUM_QUASI_BASIS - 1 + windows]
-    return np.concatenate([left, right])
+    left = table @ controls[..., windows, :]
+    right = table @ controls[..., NUM_QUASI_BASIS - 1 + windows, :]
+    return np.concatenate([left, right], axis=-3).reshape(-1, ORDER, controls.shape[-1])
 
 
 def pp_eval(polys: np.ndarray, spans: np.ndarray, us: np.ndarray) -> np.ndarray:

@@ -1,22 +1,28 @@
 """Least-squares fitting of a two-piece quintic B-spline curve to day counts.
 
 `fit` turns the data into points and chord-length parameters once, then
-scores every segmentation-point candidate omega on the grid in one loop:
+scores the segmentation-point candidates omega of the grid in chunks, a
+few candidates at a time, each step stacked over the chunk:
 
     data (k, f_k)  ->  chord-length parameters t_k              (once)
-                   ->  design matrix  phi[k, i] = N_i(t_k; omega)
-                   ->  normal equations  (phi' phi + ridge) C = phi' P
-                   ->  x(t) of the fitted curve at the uniform samples, in pp-form
+                   ->  design matrices  phi[g, k, i] = N_i(t_k; omega_g)
+                   ->  normal equations  (phi' phi + ridge) C = phi' P,
+                       factorized one candidate at a time
+                   ->  x(t) of the fitted curves at the uniform samples, in pp-form
                    ->  discretization back onto the day grid, evaluating
                        y(t) only at the samples it uses
-                   ->  mean square error against f_k
+                   ->  mean square error against f_k, per candidate
 
-and keeps the best candidate seen so far.  `fit_fixed_omega` is `fit` on a
-one-candidate grid.
+and keeps the best candidate seen so far.  A chunk holds as many
+candidates as fit in CHUNK_SAMPLES curve samples, which bounds its memory.
+Every stacked step is elementwise or runs the same BLAS/LAPACK routine per
+candidate, so the results equal those of fitting one candidate at a time,
+bit for bit.  `fit_fixed_omega` is `fit` on a one-candidate grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,6 +35,7 @@ from .basis import (
     pp_curve,
     pp_eval,
 )
+from .ingest import check_window_values
 
 # ridge is RIDGE_SCALE * trace(phi'phi)/29; rescues candidates where one
 # segment holds few points without perturbing well-posed solves
@@ -40,6 +47,12 @@ DEFAULT_OMEGA_STEP = 0.01
 
 # dense samples per day cell; keeps the max-below discretization rule stable
 SAMPLES_PER_DAY = 20
+
+# curve samples per chunk of grid candidates; bounds a chunk's sampling
+# arrays, which peak near 40 bytes per sample (0.65 MB here).  Larger chunks
+# grow the process's peak RSS: by 2% at 2**15 and 6% at 2**16 on the
+# lib-fit-windows benchmark workload
+CHUNK_SAMPLES = 2**14
 
 
 class IllConditionedError(RuntimeError):
@@ -81,7 +94,13 @@ class FitResult:
 
 
 def _data_values(data) -> np.ndarray:
-    """Accept a HistogramDistribution or a plain sequence of finite f values."""
+    """The f values `fit` accepts: a HistogramDistribution or a plain sequence,
+    by the rule of `ingest.histogram` (finite, non-negative, positive total)."""
+    return check_window_values(getattr(data, "f", data))
+
+
+def _finite_values(data) -> np.ndarray:
+    """The f values of a HistogramDistribution or a plain sequence; NaN and inf rejected."""
     f = np.asarray(getattr(data, "f", data), dtype=float)
     if not np.all(np.isfinite(f)):
         raise ValueError("data values must be finite (no NaN or inf)")
@@ -90,7 +109,7 @@ def _data_values(data) -> np.ndarray:
 
 def data_points(f: np.ndarray) -> np.ndarray:
     """Pair day indices with values: rows (k, f_k), k = 1..N."""
-    f = _data_values(f)
+    f = _finite_values(f)
     return np.column_stack([np.arange(1, f.size + 1, dtype=float), f])
 
 
@@ -113,33 +132,60 @@ def chord_length_params(points: np.ndarray) -> np.ndarray:
     return cumulative / total
 
 
-def assemble_design(params: np.ndarray, omega: float) -> np.ndarray:
-    """Design matrix phi with phi[k, i] = N_i(t_k; omega), shape (N, 29)."""
+def assemble_design(params: np.ndarray, omega) -> np.ndarray:
+    """Design matrix phi with phi[k, i] = N_i(t_k; omega), shape (N, 29).
+
+    For a 1-D array of g omegas it is the stack (g, N, 29).
+    """
     return piecewise_basis_matrix(np.asarray(params, dtype=float), omega)
+
+
+def _cholesky(gram: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of one Gram matrix."""
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(f"normal equations not factorizable: {exc}") from exc
 
 
 def solve_normal_equations(design: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Solve (phi'phi + ridge I) C = phi'P for the 29 control points.
 
     Both planar coordinates are solved against the same symmetric
-    factorization.  Raises IllConditionedError if the factorization fails,
-    so grid search can skip the candidate.
+    factorization.  For one (N, 29) design it returns (29, 2) and raises
+    IllConditionedError if the factorization fails, so grid search can
+    skip the candidate.  For a stack (g, N, 29) of designs sharing the
+    points it returns (g, 29, 2); a candidate whose factorization fails
+    gets NaN controls, and the others are still solved.
     """
     design = np.asarray(design, dtype=float)
     points = np.asarray(points, dtype=float)
-    if design.shape[0] != points.shape[0]:
+    if design.shape[-2] != points.shape[0]:
         raise ValueError(
-            f"design has {design.shape[0]} rows but {points.shape[0]} points given"
+            f"design has {design.shape[-2]} rows but {points.shape[0]} points given"
         )
-    gram = design.T @ design
-    rhs = design.T @ points
-    ridge = RIDGE_SCALE * np.trace(gram) / gram.shape[0]
-    gram[np.diag_indices_from(gram)] += ridge
-    try:
-        lower = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(f"normal equations not factorizable: {exc}") from exc
-    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
+    design_t = np.swapaxes(design, -1, -2)
+    gram = design_t @ design
+    rhs = design_t @ points
+    size = gram.shape[-1]
+    ridge = RIDGE_SCALE * np.trace(gram, axis1=-2, axis2=-1) / size
+    diagonal = np.arange(size)
+    gram[..., diagonal, diagonal] += np.asarray(ridge)[..., None]
+    if gram.ndim == 2:
+        lower = _cholesky(gram)
+        return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
+    # one factorization per candidate: a stacked call fails the whole stack
+    lower = np.empty_like(gram)
+    failed = np.zeros(len(gram), dtype=bool)
+    for i, one in enumerate(gram):
+        try:
+            lower[i] = _cholesky(one)
+        except IllConditionedError:
+            lower[i] = np.identity(size)
+            failed[i] = True
+    controls = np.linalg.solve(np.swapaxes(lower, -1, -2), np.linalg.solve(lower, rhs))
+    controls[failed] = np.nan
+    return controls
 
 
 def _sample_params(n: int) -> np.ndarray:
@@ -167,29 +213,39 @@ def discretize(samples: np.ndarray, n_days: int) -> np.ndarray:
 
 
 def _day_samples(xs: np.ndarray, n_days: int) -> np.ndarray:
-    """Index of the sample each day k = 1..n_days takes, by the rule of `discretize`."""
-    order = np.argsort(xs, kind="stable")  # stable: equal x keeps index order
-    days = np.arange(1, n_days + 1, dtype=float)
-    pos = np.searchsorted(xs, days, side="left", sorter=order)
-    return np.where(pos > 0, order[np.maximum(pos - 1, 0)], 0)
+    """Index of the sample each day k = 1..n_days takes, by the rule of `discretize`.
 
-
-def _discretize_curve(curve: PiecewiseCurve, ts: np.ndarray, n_days: int) -> np.ndarray:
-    """`discretize(curve.at(ts), n_days)`, evaluating y only at the samples it uses.
-
-    x is evaluated at every sample; y only at the <= n_days samples the
-    day rule picks.
+    `xs` is one curve's sample x values, or one row per curve.
     """
-    polys = pp_curve(curve.controls)
-    spans, us = piecewise_spans(ts, curve.omega)
+    order = np.argsort(xs, axis=-1, kind="stable")  # stable: equal x keeps index order
+    days = np.arange(1, n_days + 1, dtype=float)
+    pos = np.empty(xs.shape[:-1] + (n_days,), dtype=np.intp)
+    for row in np.ndindex(xs.shape[:-1]):
+        pos[row] = np.searchsorted(xs[row], days, side="left", sorter=order[row])
+    picked = np.take_along_axis(order, np.maximum(pos - 1, 0), axis=-1)
+    return np.where(pos > 0, picked, 0)
+
+
+def _discretize_curves(omega, controls: np.ndarray, ts: np.ndarray, n_days: int) -> np.ndarray:
+    """`discretize(PiecewiseCurve(omega, controls).at(ts), n_days)`, evaluating
+    y only at the samples it uses.
+
+    x is evaluated at every sample; y only at the <= n_days samples the day
+    rule picks.  With a 1-D array of g omegas and controls (g, 29, 2) it
+    does so for each curve and returns (g, n_days).
+    """
+    polys = pp_curve(controls)
+    spans, us = piecewise_spans(ts, omega)
     used = _day_samples(pp_eval(polys[..., 0], spans, us), n_days)
-    return pp_eval(polys[..., 1], spans[used], us[used])
+    spans = np.take_along_axis(spans, used, axis=-1)
+    us = np.take_along_axis(us, used, axis=-1)
+    return pp_eval(polys[..., 1], spans, us)
 
 
 def mse(signal: np.ndarray, data) -> float:
     """Mean square deviation between a discretized signal and the data."""
     signal = np.asarray(signal, dtype=float)
-    target = _data_values(data)
+    target = _finite_values(data)
     if signal.shape != target.shape:
         raise ValueError(f"length mismatch: {signal.shape} vs {target.shape}")
     diff = signal - target
@@ -218,12 +274,13 @@ def fit(
 ) -> FitResult:
     """Grid search over segmentation points; return the lowest-MSE candidate.
 
-    The data need at least 29 values, one per control point.  Exact ties
-    go to the smaller omega.  Candidates whose normal equations
-    cannot be factorized are recorded with an infinite score and skipped;
-    if every candidate fails, IllConditionedError (a RuntimeError) is
-    raised.  The selection depends only on the candidate set, not on
-    evaluation order.
+    The data must be finite and non-negative with a positive total, the
+    rule `ingest.histogram` applies, and need at least 29 values, one per
+    control point.  Exact ties go to the smaller omega.  Candidates whose
+    normal equations cannot be factorized are recorded with an infinite
+    score and skipped, and a non-finite score never wins; if no candidate
+    scores finite, IllConditionedError (a RuntimeError) is raised.  The
+    selection depends only on the candidate set, not on evaluation order.
     """
     f = _data_values(data)
     if f.size < NUM_PIECEWISE_BASIS:
@@ -241,28 +298,34 @@ def fit(
     points = data_points(f)
     params = chord_length_params(points)
     ts = _sample_params(SAMPLES_PER_DAY * f.size if n_samples is None else n_samples)
+    # a candidate costs its curve samples or, when fewer than the default are
+    # asked for, its design: a design row takes about the memory of
+    # SAMPLES_PER_DAY samples
+    per_chunk = max(1, CHUNK_SAMPLES // max(ts.size, SAMPLES_PER_DAY * f.size))
 
     scores: list[tuple[float, float]] = []
-    best = None  # (mse, omega, curve, discretized) of the best candidate so far
-    for omega in map(float, grid):
-        try:
-            controls = solve_normal_equations(assemble_design(params, omega), points)
-        except IllConditionedError:
-            scores.append((omega, float("inf")))
-            continue
-        curve = PiecewiseCurve(omega, controls)
-        discretized = _discretize_curve(curve, ts, f.size)
-        score = mse(discretized, f)
-        scores.append((omega, score))
-        if best is None or (score, omega) < best[:2]:
-            best = (score, omega, curve, discretized)
+    best = None  # (mse, omega, controls, discretized) of the best candidate so far
+    for start in range(0, grid.size, per_chunk):
+        chunk = grid[start : start + per_chunk]
+        controls = solve_normal_equations(assemble_design(params, chunk), points)
+        signals = _discretize_curves(chunk, controls, ts, f.size)
+        for omega, control, signal in zip(chunk.tolist(), controls, signals):
+            if np.isnan(control[0, 0]):  # the normal equations failed
+                scores.append((omega, math.inf))
+                continue
+            score = mse(signal, f)
+            scores.append((omega, score))
+            if math.isfinite(score) and (best is None or (score, omega) < best[:2]):
+                best = (score, omega, control, signal)
 
     if best is None:
-        raise IllConditionedError("every segmentation-point candidate was ill-conditioned")
+        raise IllConditionedError(
+            "every segmentation-point candidate was ill-conditioned or scored non-finite"
+        )
 
     scores.sort(key=lambda item: item[0])
-    score, _, curve, discretized = best
-    return FitResult(curve, discretized, score, scores)
+    score, omega, controls, discretized = best
+    return FitResult(PiecewiseCurve(omega, controls.copy()), discretized.copy(), score, scores)
 
 
 def fit_fixed_omega(data, omega: float, n_samples: int | None = None) -> FitResult:

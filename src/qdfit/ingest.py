@@ -192,12 +192,27 @@ def extract_window(smoothed: SmoothedSeries, window: WindowSpec) -> SmoothedSeri
     )
 
 
+def check_window_values(values) -> np.ndarray:
+    """Validate one window of daily counts or fractions; return it as floats.
+
+    The values must be finite and non-negative with a positive total.  This
+    is the one rule for what may be normalized into a histogram distribution
+    and what `fitting.fit` accepts.
+    """
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite (no NaN or inf)")
+    if np.any(values < 0.0):
+        raise ValueError("values must be non-negative")
+    if not values.sum() > 0.0:
+        raise ValueError("zero total: window has no counts to normalize")
+    return values
+
+
 def histogram(smoothed: SmoothedSeries) -> HistogramDistribution:
     """Normalize a smoothed window into unit-sum daily fractions."""
-    total = float(smoothed.values.sum())
-    if total <= 0.0:
-        raise ValueError("zero total: window has no counts to normalize")
-    return HistogramDistribution(smoothed.values / total, smoothed.start_date, smoothed.label)
+    values = check_window_values(smoothed.values)
+    return HistogramDistribution(values / values.sum(), smoothed.start_date, smoothed.label)
 
 
 def load_presets() -> dict[str, WindowSpec]:

@@ -31,14 +31,16 @@ class QuasiDistribution(NamedTuple):
 def normalize(signal: np.ndarray) -> tuple[float, np.ndarray]:
     """Rescale a signal to unit sum; returns (gamma, rescaled values).
 
-    Negative cells are allowed (spline undershoot); NaN and inf are not.
+    Negative cells are allowed (spline undershoot); NaN and inf are not,
+    and neither is a sum that is not positive, which would flip or blow up
+    the mass.
     """
     signal = np.asarray(signal, dtype=float)
     if not np.all(np.isfinite(signal)):
         raise ValueError("signal values must be finite (no NaN or inf)")
     total = float(signal.sum())
-    if total == 0.0:
-        raise ValueError("cannot normalize a signal with zero sum")
+    if total <= 0.0:
+        raise ValueError("cannot normalize a signal with zero sum or a negative sum")
     gamma = 1.0 / total
     return gamma, gamma * signal
 

@@ -66,6 +66,8 @@ def build_report(
         mse=float(mse),
         gamma=float(quasi.gamma),
         mean_day=float(quasi.mean),
+        # round() rounds half to even: a mean exactly halfway between two
+        # days takes the even day offset (round(2.5) == 2)
         mean_date=window.begin + timedelta(days=round(quasi.mean - 1.0)),
         variance=float(quasi.variance),
         peaks=list(quasi.peaks),

@@ -19,7 +19,7 @@ from qdfit.fitting import (
     sample_curve,
     solve_normal_equations,
 )
-from synthetic import greville_abscissae, linear_day_curve, roundtrip_data
+from synthetic import greville_abscissae, linear_day_curve, roundtrip_data, two_bump_counts
 
 
 class TestChordLengthParams:
@@ -133,6 +133,21 @@ class TestNormalEquations:
         with pytest.raises(IllConditionedError):
             solve_normal_equations(np.zeros((40, 29)), np.ones((40, 2)))
 
+    def test_stack_equals_one_design_at_a_time(self):
+        rng = np.random.default_rng(17)
+        f = rng.random(90)
+        points = data_points(f / f.sum())
+        params = chord_length_params(points)
+        omegas = np.array([0.15, 0.5, 0.5, 0.83])
+        designs = assemble_design(params, omegas)
+        designs[2] = 0.0  # this candidate cannot be factorized
+        controls = solve_normal_equations(designs, points)
+        assert controls.shape == (4, 29, 2)
+        assert np.isnan(controls[2]).all()
+        for i in (0, 1, 3):
+            np.testing.assert_array_equal(designs[i], assemble_design(params, omegas[i]))
+            np.testing.assert_array_equal(controls[i], solve_normal_equations(designs[i], points))
+
 
 class TestSampleCurve:
     def test_endpoints_hit_end_controls(self):
@@ -188,8 +203,19 @@ class TestFusedDiscretization:
     @staticmethod
     def fused(curve, n_samples, n_days):
         expected = discretize(sample_curve(curve, n_samples), n_days)
-        out = fitting._discretize_curve(curve, np.linspace(0.0, 1.0, n_samples), n_days)
+        ts = np.linspace(0.0, 1.0, n_samples)
+        out = fitting._discretize_curves(curve.omega, curve.controls, ts, n_days)
         np.testing.assert_array_equal(out, expected)
+        # the same curve inside a stack of curves gives the same row
+        others = PiecewiseCurve(0.55, curve.controls[::-1] + 1.0)
+        stacked = fitting._discretize_curves(
+            np.array([others.omega, curve.omega]),
+            np.stack([others.controls, curve.controls]),
+            ts,
+            n_days,
+        )
+        np.testing.assert_array_equal(stacked[1], expected)
+        np.testing.assert_array_equal(stacked[0], discretize(sample_curve(others, n_samples), n_days))
         return out
 
     def test_equal_x_ties_take_the_largest_index(self):
@@ -323,6 +349,21 @@ class TestFit:
             with pytest.raises(ValueError, match="finite"):
                 call()
 
+    def test_mean_centred_data_rejected(self):
+        # a two-bump window minus its mean: negative values and a zero total
+        counts, _ = two_bump_counts(200, (60.0, 150.0), (12.0, 16.0))
+        f = counts[3:-3] / counts[3:-3].sum()
+        centred = f - f.mean()
+        for call in (lambda: fit(centred), lambda: fit_fixed_omega(centred, 0.5)):
+            with pytest.raises(ValueError, match="non-negative"):
+                call()
+        with pytest.raises(ValueError, match="non-negative"):
+            fit(np.where(np.arange(200) == 7, -1e-9, f))
+
+    def test_zero_total_rejected(self):
+        with pytest.raises(ValueError, match="zero total"):
+            fit(np.zeros(40))
+
     @pytest.mark.parametrize("n_days", [3, 28])
     def test_fewer_points_than_controls_rejected(self, n_days):
         f = np.full(n_days, 1.0 / n_days)
@@ -402,28 +443,64 @@ class TestFit:
         assert len(calls) == 3
 
     def test_ill_conditioned_candidates_become_sentinels(self, monkeypatch):
-        real = fitting.assemble_design
+        # the normal equations are factorized one candidate at a time, in grid
+        # order, after each chunk's designs are assembled
+        real_design, real_cholesky = fitting.assemble_design, fitting._cholesky
+        assembled, factorized = [], []
 
-        def flaky(params, omega):
+        def recording(params, omega):
+            assembled.extend(np.atleast_1d(omega).tolist())
+            return real_design(params, omega)
+
+        def flaky(gram):
+            omega = assembled[len(factorized)]
+            factorized.append(omega)
             if omega < 0.4:
                 raise IllConditionedError("synthetic failure")
-            return real(params, omega)
+            return real_cholesky(gram)
 
-        monkeypatch.setattr(fitting, "assemble_design", flaky)
+        monkeypatch.setattr(fitting, "assemble_design", recording)
+        monkeypatch.setattr(fitting, "_cholesky", flaky)
         f = np.full(60, 1.0 / 60)
         result = fitting.fit(f, omega_grid=[0.2, 0.3, 0.5, 0.7])
+        assert factorized == [0.2, 0.3, 0.5, 0.7]
         scores = dict(result.omega_grid_scores)
         assert scores[0.2] == float("inf")
         assert scores[0.3] == float("inf")
         assert result.omega == 0.5
 
     def test_all_ill_conditioned_raises(self, monkeypatch):
-        def always_fail(design, points):
+        def always_fail(gram):
             raise IllConditionedError("synthetic failure")
 
-        monkeypatch.setattr(fitting, "solve_normal_equations", always_fail)
+        monkeypatch.setattr(fitting, "_cholesky", always_fail)
         with pytest.raises(RuntimeError, match="ill-conditioned"):
             fitting.fit(np.ones(40) / 40, omega_grid=[0.4, 0.6])
+
+    def test_failing_and_passing_candidates_share_a_chunk(self, monkeypatch):
+        # a zero design has a zero Gram matrix and ridge, which really fails to
+        # factorize; the other candidates of its chunk must be unaffected
+        real = fitting.assemble_design
+
+        def zero_at_half(params, omega):
+            design = real(params, omega)
+            design[np.atleast_1d(omega) == 0.5] = 0.0
+            return design
+
+        rng = np.random.default_rng(31)
+        f = rng.random(60)
+        f /= f.sum()
+        grid = [0.2, 0.5, 0.35, 0.8]
+        assert fitting.CHUNK_SAMPLES // (fitting.SAMPLES_PER_DAY * f.size) >= len(grid)
+        clean, runner_up = fit(f, grid), fit(f, [0.35])
+        monkeypatch.setattr(fitting, "assemble_design", zero_at_half)
+        result = fit(f, grid)
+        scores, clean_scores = dict(result.omega_grid_scores), dict(clean.omega_grid_scores)
+        assert scores.pop(0.5) == float("inf")
+        clean_scores.pop(0.5)
+        assert scores == clean_scores
+        assert clean.omega == 0.5 and result.omega == 0.35
+        np.testing.assert_array_equal(result.discretized, runner_up.discretized)
 
     def test_grid_validation(self):
         f = np.ones(40) / 40

@@ -196,6 +196,15 @@ class TestHistogram:
         with pytest.raises(ValueError, match="zero total"):
             histogram(smoothed)
 
+    @pytest.mark.parametrize(
+        "values, match",
+        [([10.0, -5.0, 30.0], "non-negative"), ([10.0, float("nan"), 30.0], "finite")],
+    )
+    def test_negative_and_non_finite_rejected(self, values, match):
+        smoothed = SmoothedSeries("x", date(2020, 1, 1), np.array(values))
+        with pytest.raises(ValueError, match=match):
+            histogram(smoothed)
+
     @given(
         st.lists(
             st.floats(min_value=0.0, max_value=100.0, allow_nan=False),

@@ -20,6 +20,13 @@ class TestNormalize:
         with pytest.raises(ValueError, match="zero sum"):
             normalize(np.array([1.0, -1.0]))
 
+    def test_negative_sum_rejected(self):
+        # a negative total would flip the signal's sign and its moments
+        signal = np.array([0.2, -0.5, 0.1])
+        for call in (lambda: normalize(signal), lambda: quasi_distribution(signal)):
+            with pytest.raises(ValueError, match="negative sum"):
+                call()
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_rejected(self, bad):
         signal = np.array([0.1, 0.5, bad, 0.3, 0.1])
