@@ -58,7 +58,7 @@ def _check_params(ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
         raise ValueError("ts must be one-dimensional")
-    if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
+    if not np.all((0.0 <= ts) & (ts <= 1.0)):
         raise ValueError("parameters must lie in [0, 1]")
     return ts
 

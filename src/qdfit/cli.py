@@ -1,8 +1,10 @@
 """Command-line interface: fit one series, compare several, or dump the basis.
 
-Exit status is 0 iff every requested output file was written; domain errors
-(missing file or column, window shortfall, all-zero window, no usable
-segmentation point) exit 1 with a one-line diagnostic on stderr.
+Exit status is 0 iff every requested output file was written.  A domain error
+exits 1 with a one-line diagnostic on stderr: the CLI checks the flags and
+files it alone reads (missing file or column), and passes on the library's
+message for a rule on the fit's input (window under 29 days, all-zero window,
+omega grid, prominence, no usable segmentation point).
 """
 
 from __future__ import annotations
@@ -19,17 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .basis import NUM_PIECEWISE_BASIS, NUM_QUASI_BASIS, piecewise_basis_matrix, quasi_basis_matrix
-from .fitting import (
-    DEFAULT_OMEGA_MAX,
-    DEFAULT_OMEGA_MIN,
-    DEFAULT_OMEGA_STEP,
-    SAMPLES_PER_DAY,
-    FitResult,
-    default_omega_grid,
-    fit,
-)
+from .fitting import DEFAULT_OMEGA_MAX, DEFAULT_OMEGA_MIN, DEFAULT_OMEGA_STEP, default_omega_grid, fit
 from .ingest import (
-    HistogramDistribution,
     RawSeries,
     WindowSpec,
     extract_window,
@@ -40,8 +33,6 @@ from .ingest import (
 )
 from .quasidist import QuasiDistribution, quasi_distribution
 from .report import FitReport, build_report, emit_json, emit_overlay_svg, emit_panel_svg
-
-MIN_WINDOW_DAYS = NUM_PIECEWISE_BASIS  # need at least as many data points as controls
 
 
 @dataclass(frozen=True)
@@ -55,17 +46,10 @@ class CliConfig:
     end: date | None
     days: int
     omega_grid: np.ndarray
-    n_samples: int | None
     prominence: float
 
     @classmethod
     def from_args(cls, args: argparse.Namespace, columns: list[str]) -> "CliConfig":
-        if not 0.0 <= args.prominence <= 1.0:
-            raise ValueError("prominence fraction must lie in [0, 1]")
-        if args.days < MIN_WINDOW_DAYS:
-            raise ValueError(f"need at least {MIN_WINDOW_DAYS} days, got {args.days}")
-        if args.samples is not None and args.samples < 2:
-            raise ValueError("need at least 2 curve samples")
         begin = date.fromisoformat(args.begin) if args.begin else None
         end = date.fromisoformat(args.end) if args.end else None
         if args.country and (begin or end):
@@ -80,7 +64,6 @@ class CliConfig:
             end=end,
             days=args.days,
             omega_grid=default_omega_grid(args.omega_min, args.omega_max, args.omega_step),
-            n_samples=args.samples,
             prominence=args.prominence,
         )
 
@@ -109,19 +92,16 @@ def _resolve_window(config: CliConfig, smoothed) -> WindowSpec:
 
 def _fit_series(
     raw: RawSeries, config: CliConfig
-) -> tuple[HistogramDistribution, FitResult, QuasiDistribution, FitReport, WindowSpec]:
+) -> tuple[np.ndarray, QuasiDistribution, FitReport]:
     smoothed = moving_average_7(raw)
     window = _resolve_window(config, smoothed)
-    if window.days < MIN_WINDOW_DAYS:
-        raise ValueError(f"window spans {window.days} days; need at least {MIN_WINDOW_DAYS}")
     data = histogram(extract_window(smoothed, window))
-    n_samples = config.n_samples or SAMPLES_PER_DAY * data.n_days
-    result = fit(data, config.omega_grid, n_samples)
+    result = fit(data, config.omega_grid)
     quasi = quasi_distribution(result.discretized, config.prominence)
     report = build_report(
         raw.label, window, result.omega, result.mse, quasi, result.omega_grid_scores
     )
-    return data, result, quasi, report, window
+    return data.f, quasi, report
 
 
 def _summary_line(report: FitReport) -> str:
@@ -134,13 +114,13 @@ def _summary_line(report: FitReport) -> str:
 def _cmd_fit(args: argparse.Namespace) -> int:
     config = CliConfig.from_args(args, [args.column])
     raw = _load_columns(config)[args.column]
-    data, result, quasi, report, _ = _fit_series(raw, config)
+    f, quasi, report = _fit_series(raw, config)
 
     json_path = Path(args.json_out or f"{raw.label}.report.json")
     svg_path = Path(args.svg_out or f"{raw.label}.panel.svg")
     json_path.write_text(emit_json(report), encoding="utf-8")
     svg_path.write_text(
-        emit_panel_svg(data.f, quasi.values, raw.label, report.omega, report.variance),
+        emit_panel_svg(f, quasi.values, raw.label, report.omega, report.variance),
         encoding="utf-8",
     )
     print(_summary_line(report))
@@ -162,7 +142,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     curves: list[tuple[str, np.ndarray]] = []
     comparison: list[dict] = []
     for label in columns:
-        _, _, quasi, report, _ = _fit_series(raws[label], config)
+        _, quasi, report = _fit_series(raws[label], config)
         report_path = out_dir / f"{label}.report.json"
         report_path.write_text(emit_json(report), encoding="utf-8")
         curves.append((label, quasi.values))
@@ -220,12 +200,6 @@ def _add_fit_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--omega-min", type=float, default=DEFAULT_OMEGA_MIN)
     sub.add_argument("--omega-max", type=float, default=DEFAULT_OMEGA_MAX)
     sub.add_argument("--omega-step", type=float, default=DEFAULT_OMEGA_STEP)
-    sub.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        help="curve samples for discretization (default 20 per day)",
-    )
     sub.add_argument(
         "--prominence",
         type=float,

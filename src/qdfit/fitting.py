@@ -30,6 +30,7 @@ import numpy as np
 
 from .basis import (
     NUM_PIECEWISE_BASIS,
+    _check_omega,
     piecewise_basis_matrix,
     piecewise_spans,
     pp_curve,
@@ -93,12 +94,6 @@ class FitResult:
         return self.curve.omega
 
 
-def _data_values(data) -> np.ndarray:
-    """The f values `fit` accepts: a HistogramDistribution or a plain sequence,
-    by the rule of `ingest.histogram` (finite, non-negative, positive total)."""
-    return check_window_values(getattr(data, "f", data))
-
-
 def _finite_values(data) -> np.ndarray:
     """The f values of a HistogramDistribution or a plain sequence; NaN and inf rejected."""
     f = np.asarray(getattr(data, "f", data), dtype=float)
@@ -126,10 +121,7 @@ def chord_length_params(points: np.ndarray) -> np.ndarray:
     if np.any(chords == 0.0):
         raise ValueError("consecutive points must be distinct")
     cumulative = np.concatenate([[0.0], np.cumsum(chords)])
-    total = cumulative[-1]
-    if total == 0.0:
-        raise ValueError("zero total chord length")
-    return cumulative / total
+    return cumulative / cumulative[-1]
 
 
 def assemble_design(params: np.ndarray, omega) -> np.ndarray:
@@ -269,31 +261,30 @@ def default_omega_grid(
 
 def fit(
     data,
-    omega_grid: Sequence[float] | None = None,
+    omega_grid: Sequence[float] | float | None = None,
     n_samples: int | None = None,
 ) -> FitResult:
     """Grid search over segmentation points; return the lowest-MSE candidate.
 
     The data must be finite and non-negative with a positive total, the
     rule `ingest.histogram` applies, and need at least 29 values, one per
-    control point.  Exact ties go to the smaller omega.  Candidates whose
-    normal equations cannot be factorized are recorded with an infinite
-    score and skipped, and a non-finite score never wins; if no candidate
-    scores finite, IllConditionedError (a RuntimeError) is raised.  The
-    selection depends only on the candidate set, not on evaluation order.
+    control point.  Grid candidates lie in (0, 1), the basis's rule, and a
+    number is a one-candidate grid.  The curve takes n_samples samples, by
+    default SAMPLES_PER_DAY per value.  Exact ties go to the smaller omega.
+    Candidates whose normal equations cannot be factorized are recorded
+    with an infinite score and skipped, and a non-finite score never wins;
+    if no candidate scores finite, IllConditionedError (a RuntimeError) is
+    raised.  The selection depends only on the candidate set, not on
+    evaluation order.
     """
-    f = _data_values(data)
+    f = check_window_values(getattr(data, "f", data))
     if f.size < NUM_PIECEWISE_BASIS:
         raise ValueError(
             f"need at least {NUM_PIECEWISE_BASIS} data points (one per control), got {f.size}"
         )
-    grid = np.asarray(
-        default_omega_grid() if omega_grid is None else omega_grid, dtype=float
-    )
+    grid = np.atleast_1d(_check_omega(default_omega_grid() if omega_grid is None else omega_grid))
     if grid.size == 0:
         raise ValueError("empty segmentation-point grid")
-    if np.any((grid <= 0.0) | (grid >= 1.0)):
-        raise ValueError("all grid candidates must lie in (0, 1)")
 
     points = data_points(f)
     params = chord_length_params(points)

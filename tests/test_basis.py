@@ -134,6 +134,10 @@ class TestQuasiVector:
         with pytest.raises(ValueError):
             quasi_basis_matrix(np.array([1.1]))
 
+    def test_matrix_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            quasi_basis_matrix(np.array([np.nan]))
+
     @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_partition_and_bounds_everywhere(self, t):
         values = quasi_row(t)
@@ -170,6 +174,10 @@ class TestPiecewiseVector:
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 piecewise_basis_matrix(TS, bad)
+
+    def test_nan_parameter_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            piecewise_basis_matrix(np.array([0.2, np.nan, 0.7]), 0.4)
 
     @pytest.mark.parametrize("omega", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_partition_of_unity_dense(self, omega):

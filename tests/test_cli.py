@@ -31,6 +31,18 @@ def _write_csv(path, columns, n_days=96, start=date(2021, 1, 1)):
 FIT_SPEED_FLAGS = ["--omega-step", "0.1"]
 
 
+def _write_italy_csv(path):
+    """One 'deaths' column covering the Italy preset window with 3-day margins."""
+    start = date(2020, 2, 18)
+    n = (date(2021, 7, 7) - start).days + 1
+    days = np.arange(n, dtype=float)
+    lines = ["date,deaths"]
+    for k, day in enumerate(days):
+        value = 100.0 + 80.0 * np.exp(-((day - 250.0) ** 2) / (2 * 60.0**2))
+        lines.append(f"{(start + timedelta(days=k)).isoformat()},{value:.4f}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 class TestFitCommand:
     def test_writes_report_and_panel(self, tmp_path, capsys):
         csv_path = tmp_path / "data.csv"
@@ -160,14 +172,7 @@ class TestFitCommand:
 
     def test_country_preset_sets_window(self, tmp_path):
         csv_path = tmp_path / "italy.csv"
-        start = date(2020, 2, 18)
-        n = (date(2021, 7, 7) - start).days + 1
-        days = np.arange(n, dtype=float)
-        lines = ["date,deaths"]
-        for k, day in enumerate(days):
-            value = 100.0 + 80.0 * np.exp(-((day - 250.0) ** 2) / (2 * 60.0**2))
-            lines.append(f"{(start + timedelta(days=k)).isoformat()},{value:.4f}")
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_italy_csv(csv_path)
         json_out = tmp_path / "r.json"
         code = main(
             ["fit", "--input", str(csv_path), "--column", "deaths",
@@ -180,6 +185,34 @@ class TestFitCommand:
         assert report.window.begin == date(2020, 2, 21)
         assert report.window.end == date(2021, 7, 4)
         assert report.days == 500
+
+    def test_days_unused_with_country(self, tmp_path):
+        # --days sizes only a --begin window; the 29-day minimum is fit's rule
+        csv_path = tmp_path / "italy.csv"
+        _write_italy_csv(csv_path)
+        json_out = tmp_path / "r.json"
+        code = main(
+            ["fit", "--input", str(csv_path), "--column", "deaths",
+             "--country", "Italy", "--days", "10",
+             "--json-out", str(json_out), "--svg-out", str(tmp_path / "p.svg")]
+            + FIT_SPEED_FLAGS
+        )
+        assert code == 0
+        assert parse_report(json_out.read_text()).days == 500
+
+    def test_prominence_out_of_range_rejected(self, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        start, n_days = _write_csv(csv_path, ["confirmed"])
+        json_out, svg_out = tmp_path / "r.json", tmp_path / "p.svg"
+        code = main(
+            ["fit", "--input", str(csv_path), "--column", "confirmed",
+             "--begin", start.isoformat(), "--days", str(n_days), "--prominence", "1.5",
+             "--json-out", str(json_out), "--svg-out", str(svg_out)]
+            + FIT_SPEED_FLAGS
+        )
+        assert code == 1
+        assert "prominence fraction" in capsys.readouterr().err
+        assert not json_out.exists() and not svg_out.exists()
 
 
 class TestCompareCommand:

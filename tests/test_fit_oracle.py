@@ -46,7 +46,7 @@ def test_default_grid_matches_loop(n_days):
 def test_golden_inputs_match_loop(scenario, tmp_path, monkeypatch):
     calls = []
 
-    def recording(data, omega_grid, n_samples):
+    def recording(data, omega_grid, n_samples=None):
         result = fit(data, omega_grid, n_samples)
         calls.append((data, omega_grid, n_samples, result))
         return result

@@ -71,6 +71,12 @@ class TestDesignMatrix:
         left = params < 0.62
         assert np.abs(design[left][:, 15:]).max() == 0.0
 
+    def test_nan_points_rejected(self):
+        # chord lengths through a NaN point are NaN, and so are the parameters
+        points = np.array([[1.0, 0.2], [2.0, np.nan], [3.0, 0.5], [4.0, 0.1]])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            assemble_design(chord_length_params(points), 0.4)
+
 
 class TestNormalEquations:
     def test_zero_rhs_gives_zero_controls(self):
@@ -189,7 +195,7 @@ class TestCurveEvaluation:
         actual = PiecewiseCurve(omega, controls).at(ts)
         assert np.abs(actual - expected).max() <= 1e-13 * np.abs(controls).max()
 
-    @pytest.mark.parametrize("t", [-1e-12, -0.5, 1.0 + 1e-12, 2.0])
+    @pytest.mark.parametrize("t", [-1e-12, -0.5, 1.0 + 1e-12, 2.0, float("nan")])
     def test_parameters_outside_unit_interval_rejected(self, t):
         curve = PiecewiseCurve(0.4, np.ones((29, 2)))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -508,6 +514,21 @@ class TestFit:
             fit(f, omega_grid=[])
         with pytest.raises(ValueError):
             fit(f, omega_grid=[0.5, 1.0])
+
+    def test_nan_candidate_rejected_before_any_design(self, monkeypatch):
+        designs = []
+        monkeypatch.setattr(
+            fitting, "assemble_design", lambda *args: designs.append(args) or assemble_design(*args)
+        )
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            fit(np.ones(40) / 40, [0.5, float("nan")])
+        assert designs == []
+
+    def test_bare_number_is_a_one_candidate_grid(self):
+        f = roundtrip_data(linear_day_curve(0.5, 60), 60, 1200)
+        result = fit(f, 0.5)
+        assert result.omega == 0.5
+        assert result.omega_grid_scores == fit(f, [0.5]).omega_grid_scores
 
     def test_default_grid(self):
         grid = default_omega_grid()

@@ -16,7 +16,7 @@ import pytest
 
 import qdfit.cli
 from golden_cases import golden_files, run_scenario, scenarios
-from qdfit.fitting import discretize, fit, sample_curve
+from qdfit.fitting import SAMPLES_PER_DAY, discretize, fit, sample_curve
 
 STATS_RTOL = 1e-7
 SCORE_RTOL, SCORE_ATOL = 1e-4, 1e-12
@@ -75,13 +75,14 @@ def test_fused_discretization_matches_argsort_rule(name, tmp_path, monkeypatch):
     # candidates with non-monotone x(t), so the argsort reorders there
     calls = []
 
-    def recording(data, omega_grid, n_samples):
-        calls.append((data, omega_grid, n_samples))
+    def recording(data, omega_grid, n_samples=None):
+        calls.append((data, omega_grid))
         return fit(data, omega_grid, n_samples)
 
     monkeypatch.setattr(qdfit.cli, "fit", recording)
     run_scenario(next(s for s in scenarios() if s.name == name), tmp_path)
-    (data, grid, n_samples), = calls
+    (data, grid), = calls
+    n_samples = SAMPLES_PER_DAY * data.n_days  # the CLI fits at fit's default
     monotone = 0
     for omega in grid:
         result = fit(data, [omega], n_samples)
