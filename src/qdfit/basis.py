@@ -11,11 +11,12 @@ and the two segments share index 14.  A curve built on this basis is
 therefore continuous at omega by construction: both one-sided limits equal
 control point 14.
 
-There is one evaluator: `quasi_basis_matrix` runs the Cox-de Boor
-recurrence over the explicit knot vector, vectorized over all parameters,
-and `piecewise_basis_matrix` calls it once on both segments' parameters.
-The fit's design matrix and the `basis` CLI dump go through it.  Curve
-evaluation uses the pp-form (piecewise power basis) of the same functions:
+There is one evaluator: `_basis_values` runs the Cox-de Boor recurrence
+over the explicit knot vector, vectorized over all parameters, and
+`quasi_basis_matrix` and `piecewise_basis_matrix` (once on both segments'
+parameters) scatter its nonzeros into design rows.  The fit's design
+matrix and the `basis` CLI dump go through it.  Curve evaluation uses the
+pp-form (piecewise power basis) of the same functions:
 `pp_table` derives it from `quasi_basis_matrix` on first use, `pp_curve`
 folds a curve's controls into it, `piecewise_spans` locates parameters by
 the same segment and span rules, and `pp_eval` evaluates by Horner's rule.
@@ -26,7 +27,10 @@ polynomials, which live with the tests.
 stack of g curves (a 1-D array of omegas, controls of shape (g, 29, d)),
 so that a fit scores many segmentation points per call.  Every row is
 computed exactly as for one curve, so the stacked results equal the
-per-curve ones bit for bit.
+per-curve ones bit for bit.  `piecewise_basis_matrix`, `piecewise_spans`
+and `pp_eval` write into arrays the caller passes as `out` (and `scratch`
+for intermediate values), so that a fit can reuse one set of work arrays
+for all its chunks; without them they allocate their results.
 
 Convention: basis supports are half-open on the right, except that the
 span ending at the domain end is closed there, so the last basis function
@@ -52,6 +56,7 @@ def make_knot_vector() -> np.ndarray:
 
 
 _KNOTS = make_knot_vector()
+_SPAN_STARTS = _KNOTS[DEGREE:NUM_QUASI_BASIS]  # knot s/10 opening span s = 0..9
 
 
 def _check_params(ts: np.ndarray) -> np.ndarray:
@@ -63,43 +68,72 @@ def _check_params(ts: np.ndarray) -> np.ndarray:
     return ts
 
 
-def _knot_spans(ts: np.ndarray) -> np.ndarray:
-    """Index i into the knot vector of the span [knot_i, knot_i+1) holding each t;
-    t = 1 belongs to the last nonempty span."""
-    spans = np.searchsorted(_KNOTS, ts, side="right") - 1
-    np.clip(spans, DEGREE, NUM_QUASI_BASIS - 1, out=spans)
+def _knot_spans(
+    ts: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Span s = 0..9 holding each t, the knot span [s/10, (s+1)/10); t = 1
+    belongs to span 9.
+
+    It is min(int(10 t), 9), less one where 10 t rounded up onto the next
+    knot (the double just below 0.9 is one such t), which equals the knot
+    search `searchsorted(_KNOTS, t, "right") - 1 - DEGREE`, clipped to
+    0..9, for every t in [0, 1].  `out` (intp) receives the spans and
+    `scratch` (float), if given, the knots they start at.
+    """
+    spans = np.empty(ts.shape, dtype=np.intp) if out is None else out
+    np.multiply(ts, NUM_SPANS, out=spans, casting="unsafe")  # truncates: t >= 0
+    np.minimum(spans, NUM_SPANS - 1, out=spans)
+    spans -= ts < np.take(_SPAN_STARTS, spans, out=scratch, mode="clip")
     return spans
 
 
-def quasi_basis_matrix(ts: np.ndarray) -> np.ndarray:
-    """Base-family design matrix: row k holds the 15 basis values at ts[k].
+def _basis_values(ts: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """The ORDER base functions that are nonzero at each t: row j of the
+    result, shape (ORDER, len(ts)), holds N_{s+j}(t) for t in span s.
 
-    The Cox-de Boor recurrence, run bottom-up for all parameters at once
-    (only the ORDER nonzero functions per knot span are computed, then
-    scattered into the full 15-column row).
+    The Cox-de Boor recurrence (Piegl & Tiller, The NURBS Book, A2.2), run
+    bottom-up for all parameters at once on contiguous rows.
     """
-    ts = _check_params(ts)
-    m = ts.shape[0]
-    spans = _knot_spans(ts)
-
-    vals = np.zeros((m, ORDER))
-    vals[:, 0] = 1.0
-    left = np.zeros((m, ORDER))
-    right = np.zeros((m, ORDER))
+    m = ts.size
+    vals = np.empty((ORDER, m))
+    left = np.empty((ORDER, m))
+    right = np.empty((ORDER, m))
+    temp = np.empty(m)
+    saved = np.empty(m)
+    vals[0] = 1.0
     for j in range(1, ORDER):
-        left[:, j] = ts - _KNOTS[spans + 1 - j]
-        right[:, j] = _KNOTS[spans + j] - ts
-        saved = np.zeros(m)
+        np.take(_KNOTS[ORDER - j :], spans, out=left[j], mode="clip")
+        np.subtract(ts, left[j], out=left[j])  # t - knot_{s+6-j}
+        np.take(_KNOTS[DEGREE + j :], spans, out=right[j], mode="clip")
+        right[j] -= ts  # knot_{s+5+j} - t
+        saved.fill(0.0)
         for r in range(j):
-            temp = vals[:, r] / (right[:, r + 1] + left[:, j - r])
-            vals[:, r] = saved + right[:, r + 1] * temp
-            saved = left[:, j - r] * temp
-        vals[:, j] = saved
+            np.add(right[r + 1], left[j - r], out=temp)
+            np.divide(vals[r], temp, out=temp)
+            np.multiply(right[r + 1], temp, out=vals[r])
+            vals[r] += saved
+            np.multiply(left[j - r], temp, out=saved)
+        vals[j] = saved
+    return vals
 
-    out = np.zeros((m, NUM_QUASI_BASIS))
-    cols = spans[:, None] + np.arange(-DEGREE, 1)
-    out[np.arange(m)[:, None], cols] = vals
+
+def _scatter_rows(vals: np.ndarray, first: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write `_basis_values` into the zeroed matrix `out`, one row per t:
+    row k's ORDER values go to the columns first[k] .. first[k] + 5."""
+    index = np.arange(0, out.size, out.shape[-1])
+    index += first
+    flat = out.reshape(-1)
+    for row in vals:
+        flat[index] = row
+        index += 1
     return out
+
+
+def quasi_basis_matrix(ts: np.ndarray) -> np.ndarray:
+    """Base-family design matrix: row k holds the 15 basis values at ts[k]."""
+    ts = _check_params(ts)
+    spans = _knot_spans(ts)
+    return _scatter_rows(_basis_values(ts, spans), spans, np.zeros((ts.size, NUM_QUASI_BASIS)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,32 +150,46 @@ def _check_omega(omega) -> np.ndarray:
     return omega
 
 
-def piecewise_basis_matrix(ts: np.ndarray, omega) -> np.ndarray:
+def piecewise_basis_matrix(ts: np.ndarray, omega, out: np.ndarray | None = None) -> np.ndarray:
     """Two-piece design matrix: row k holds the 29 basis values at ts[k].
 
     For a 1-D array of g omegas the result is the stack (g, len(ts), 29)
-    of the matrices for each omega.
+    of the matrices for each omega.  `out`, if given, is an array of the
+    result's shape that the result is written into.
     """
     right, tau = _segment_params(_check_params(ts), _check_omega(omega))
-    rows = quasi_basis_matrix(tau.ravel())
-    right = right.reshape(-1, 1)
-    out = np.zeros((right.size, NUM_PIECEWISE_BASIS))
-    np.copyto(out[:, :NUM_QUASI_BASIS], rows, where=~right)
-    np.copyto(out[:, NUM_QUASI_BASIS - 1 :], rows, where=right)
-    return out.reshape(tau.shape + (NUM_PIECEWISE_BASIS,))
+    shape = right.shape + (NUM_PIECEWISE_BASIS,)
+    design = np.empty(shape) if out is None else out
+    if design.shape != shape or not design.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+    right, tau = right.reshape(-1), tau.reshape(-1)
+    spans = _knot_spans(tau)
+    vals = _basis_values(tau, spans)
+    np.add(spans, NUM_QUASI_BASIS - 1, out=spans, where=right)  # right functions are 14..28
+    design.fill(0.0)
+    return _scatter_rows(vals, spans, design)
 
 
-def _segment_params(ts: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _segment_params(
+    ts: np.ndarray,
+    omega: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Split parameters at omega: t < omega goes to the left segment.
 
     Returns the right-segment mask and each t's segment parameter tau,
     t/omega on the left and (t - omega)/(1 - omega) on the right, with
-    one row per omega when omega is a 1-D array.
+    one row per omega when omega is a 1-D array.  Both sides are computed
+    everywhere and selected by the mask: tau is written into `out` and the
+    right side into `scratch`, each where given.
     """
     omega = omega[..., None]
-    right = ~(ts < omega)
-    tau = ts / omega
-    np.divide(ts - omega, 1.0 - omega, out=tau, where=right)
+    right = ts >= omega  # is ~(ts < omega): parameters are checked, never NaN
+    tau = np.divide(ts, omega, out=out)
+    right_tau = np.subtract(ts, omega, out=scratch)
+    right_tau /= 1.0 - omega
+    np.copyto(tau, right_tau, where=right)
     return right, tau
 
 
@@ -170,7 +218,12 @@ def pp_table() -> np.ndarray:
     return table
 
 
-def piecewise_spans(ts: np.ndarray, omega) -> tuple[np.ndarray, np.ndarray]:
+def piecewise_spans(
+    ts: np.ndarray,
+    omega,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+    scratch: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Locate parameters for pp-form evaluation of the two-piece family.
 
     Returns, per t, the span index (0..9 on the left segment, 10..19 on the
@@ -178,20 +231,22 @@ def piecewise_spans(ts: np.ndarray, omega) -> tuple[np.ndarray, np.ndarray]:
     the segment's parameter from the split `piecewise_basis_matrix` uses.
     For a 1-D array of g omegas both have shape (g, len(ts)), and row i's
     spans are offset by 20 i: they index the stack `pp_curve` returns for
-    g controls.
+    g controls.  `out`, if given, is a pair of arrays (intp, float) of that
+    shape that the spans and u are written into; `scratch`, a float array
+    of that shape, holds intermediate values.  Either is allocated where
+    it is None.
     """
     omega = _check_omega(omega)
     ts = _check_params(ts)
-    # in-place steps: the fit calls this on 20 samples per day per candidate
-    right, tau = _segment_params(ts, omega)
-    spans = _knot_spans(tau)
-    spans -= DEGREE
-    tau *= NUM_SPANS
-    tau -= spans  # now u
+    spans, us = (None, None) if out is None else out
+    right, us = _segment_params(ts, omega, us, scratch)
+    spans = _knot_spans(us, spans, scratch)
+    us *= NUM_SPANS
+    us -= spans
     np.add(spans, NUM_SPANS, out=spans, where=right)
     if omega.ndim:
         spans[1:] += 2 * NUM_SPANS * np.arange(1, omega.size)[:, None]
-    return spans, tau
+    return spans, us
 
 
 def pp_curve(controls: np.ndarray) -> np.ndarray:
@@ -211,15 +266,27 @@ def pp_curve(controls: np.ndarray) -> np.ndarray:
     return np.concatenate([left, right], axis=-3).reshape(-1, ORDER, controls.shape[-1])
 
 
-def pp_eval(polys: np.ndarray, spans: np.ndarray, us: np.ndarray) -> np.ndarray:
+def pp_eval(
+    polys: np.ndarray,
+    spans: np.ndarray,
+    us: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Evaluate `pp_curve` coefficients at `piecewise_spans` output by Horner's rule.
 
-    The result has shape spans.shape + polys.shape[2:].
+    The result has shape spans.shape + polys.shape[2:].  `out`, if given,
+    is an array of that shape that the result is written into, and
+    `scratch`, of the same shape, receives each power's gathered
+    coefficients; either is allocated where it is None.
     """
     us = us.reshape(us.shape + (1,) * (polys.ndim - 2))
     by_power = np.moveaxis(polys, 1, 0)
-    out = by_power[DEGREE].take(spans, axis=0)
+    # mode="clip" gathers straight into `out` (mode="raise" would copy it);
+    # spans from `piecewise_spans` are in range
+    out = np.take(by_power[DEGREE], spans, axis=0, out=out, mode="clip")
     for power in range(DEGREE - 1, -1, -1):
         out *= us
-        out += by_power[power].take(spans, axis=0)
+        scratch = np.take(by_power[power], spans, axis=0, out=scratch, mode="clip")
+        out += scratch
     return out

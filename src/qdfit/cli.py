@@ -1,7 +1,8 @@
 """Command-line interface: fit one series, compare several, or dump the basis.
 
 Exit status is 0 iff every requested output file was written.  A domain error
-exits 1 with a one-line diagnostic on stderr: the CLI checks the flags and
+exits 1 with a one-line diagnostic on stderr and writes no file (`compare`
+fits every column before it writes anything): the CLI checks the flags and
 files it alone reads (missing file or column), and passes on the library's
 message for a rule on the fit's input (window under 29 days, all-zero window,
 omega grid, prominence, no usable segmentation point).
@@ -135,14 +136,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     config = CliConfig.from_args(args, columns)
     raws = _load_columns(config)
 
+    # every column is fitted before anything is written: an error writes nothing
+    fitted = [_fit_series(raws[label], config) for label in columns]
+
     out_dir = Path(args.json_out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     svg_path = Path(args.svg_out or "overlay.svg")
-
     curves: list[tuple[str, np.ndarray]] = []
     comparison: list[dict] = []
-    for label in columns:
-        _, quasi, report = _fit_series(raws[label], config)
+    for label, (_, quasi, report) in zip(columns, fitted):
         report_path = out_dir / f"{label}.report.json"
         report_path.write_text(emit_json(report), encoding="utf-8")
         curves.append((label, quasi.values))

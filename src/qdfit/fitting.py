@@ -15,9 +15,13 @@ few candidates at a time, each step stacked over the chunk:
 
 and keeps the best candidate seen so far.  A chunk holds as many
 candidates as fit in CHUNK_SAMPLES curve samples, which bounds its memory.
-Every stacked step is elementwise or runs the same BLAS/LAPACK routine per
-candidate, so the results equal those of fitting one candidate at a time,
-bit for bit.  `fit_fixed_omega` is `fit` on a one-candidate grid.
+`fit` allocates the work arrays of its first, largest chunk once, the
+design stack and four arrays per curve sample, and every chunk writes into
+views of them, so that their memory is not given back to the OS and
+faulted in again between chunks.  Every stacked step is elementwise or
+runs the same BLAS/LAPACK routine per candidate, so the results equal
+those of fitting one candidate at a time, bit for bit.  `fit_fixed_omega`
+is `fit` on a one-candidate grid.
 """
 
 from __future__ import annotations
@@ -49,10 +53,12 @@ DEFAULT_OMEGA_STEP = 0.01
 # dense samples per day cell; keeps the max-below discretization rule stable
 SAMPLES_PER_DAY = 20
 
-# curve samples per chunk of grid candidates; bounds a chunk's sampling
-# arrays, which peak near 40 bytes per sample (0.65 MB here).  Larger chunks
-# grow the process's peak RSS: by 2% at 2**15 and 6% at 2**16 on the
-# lib-fit-windows benchmark workload
+# curve samples per chunk of grid candidates; bounds the fit's work arrays,
+# which are its memory peak: spans, u, x and a Horner scratch, 32 bytes per
+# sample (0.5 MB here), held for the whole fit, plus the design stack and
+# the day rule's argsort.  Larger chunks grew the process's peak RSS on the
+# lib-fit-windows benchmark workload (by 2% at 2**15 and 6% at 2**16,
+# measured before the work arrays)
 CHUNK_SAMPLES = 2**14
 
 
@@ -124,12 +130,13 @@ def chord_length_params(points: np.ndarray) -> np.ndarray:
     return cumulative / cumulative[-1]
 
 
-def assemble_design(params: np.ndarray, omega) -> np.ndarray:
+def assemble_design(params: np.ndarray, omega, out: np.ndarray | None = None) -> np.ndarray:
     """Design matrix phi with phi[k, i] = N_i(t_k; omega), shape (N, 29).
 
-    For a 1-D array of g omegas it is the stack (g, N, 29).
+    For a 1-D array of g omegas it is the stack (g, N, 29).  `out`, if
+    given, is an array of the result's shape that it is written into.
     """
-    return piecewise_basis_matrix(np.asarray(params, dtype=float), omega)
+    return piecewise_basis_matrix(np.asarray(params, dtype=float), omega, out)
 
 
 def _cholesky(gram: np.ndarray) -> np.ndarray:
@@ -218,17 +225,23 @@ def _day_samples(xs: np.ndarray, n_days: int) -> np.ndarray:
     return np.where(pos > 0, picked, 0)
 
 
-def _discretize_curves(omega, controls: np.ndarray, ts: np.ndarray, n_days: int) -> np.ndarray:
+def _discretize_curves(
+    omega, controls: np.ndarray, ts: np.ndarray, n_days: int, work=(None,) * 4
+) -> np.ndarray:
     """`discretize(PiecewiseCurve(omega, controls).at(ts), n_days)`, evaluating
     y only at the samples it uses.
 
     x is evaluated at every sample; y only at the <= n_days samples the day
     rule picks.  With a 1-D array of g omegas and controls (g, 29, 2) it
-    does so for each curve and returns (g, n_days).
+    does so for each curve and returns (g, n_days).  `work` holds the
+    arrays of shape (g, len(ts)) that the spans (intp), u, x and
+    intermediate values of every sample are written into; each is
+    allocated where it is None.
     """
     polys = pp_curve(controls)
-    spans, us = piecewise_spans(ts, omega)
-    used = _day_samples(pp_eval(polys[..., 0], spans, us), n_days)
+    spans, us, xs, scratch = work
+    spans, us = piecewise_spans(ts, omega, (spans, us), scratch)
+    used = _day_samples(pp_eval(polys[..., 0], spans, us, xs, scratch), n_days)
     spans = np.take_along_axis(spans, used, axis=-1)
     us = np.take_along_axis(us, used, axis=-1)
     return pp_eval(polys[..., 1], spans, us)
@@ -293,13 +306,17 @@ def fit(
     # asked for, its design: a design row takes about the memory of
     # SAMPLES_PER_DAY samples
     per_chunk = max(1, CHUNK_SAMPLES // max(ts.size, SAMPLES_PER_DAY * f.size))
+    size = min(per_chunk, grid.size)  # the first chunk is the largest
+    design = np.empty((size, f.size, NUM_PIECEWISE_BASIS))
+    sampling = [np.empty((size, ts.size), dtype) for dtype in (np.intp, float, float, float)]
 
     scores: list[tuple[float, float]] = []
     best = None  # (mse, omega, controls, discretized) of the best candidate so far
     for start in range(0, grid.size, per_chunk):
         chunk = grid[start : start + per_chunk]
-        controls = solve_normal_equations(assemble_design(params, chunk), points)
-        signals = _discretize_curves(chunk, controls, ts, f.size)
+        g = chunk.size
+        controls = solve_normal_equations(assemble_design(params, chunk, design[:g]), points)
+        signals = _discretize_curves(chunk, controls, ts, f.size, [a[:g] for a in sampling])
         for omega, control, signal in zip(chunk.tolist(), controls, signals):
             if np.isnan(control[0, 0]):  # the normal equations failed
                 scores.append((omega, math.inf))

@@ -4,10 +4,15 @@ from hypothesis import given, strategies as st
 
 from basis_oracle import closed_form_piecewise_row, closed_form_row, eval_basis_closed_form
 from qdfit.basis import (
+    DEGREE,
     NUM_PIECEWISE_BASIS,
     NUM_QUASI_BASIS,
+    _knot_spans,
     make_knot_vector,
     piecewise_basis_matrix,
+    piecewise_spans,
+    pp_curve,
+    pp_eval,
     quasi_basis_matrix,
 )
 
@@ -37,6 +42,72 @@ class TestKnotVector:
 
     def test_non_decreasing(self):
         assert (np.diff(make_knot_vector()) >= 0.0).all()
+
+
+def searched_spans(ts: np.ndarray) -> np.ndarray:
+    """The span of each t by a search of the knot vector, numbered 0..9."""
+    spans = np.searchsorted(make_knot_vector(), ts, "right") - 1
+    return np.clip(spans, DEGREE, NUM_QUASI_BASIS - 1) - DEGREE
+
+
+class TestKnotSpans:
+    """`_knot_spans` finds spans by arithmetic; it must equal the knot search."""
+
+    def test_ulps_around_every_knot(self):
+        offsets = np.arange(-20_000, 20_001)
+        for knot in np.unique(make_knot_vector()):
+            ts = (np.float64(knot).view(np.int64) + offsets).view(np.float64)
+            ts = ts[(ts >= 0.0) & (ts <= 1.0)]  # below 0.0 the bits are NaN
+            np.testing.assert_array_equal(_knot_spans(ts), searched_spans(ts))
+
+    def test_one_ulp_below_0_9(self):
+        # 10 t rounds up to exactly 9 here, and only the knot compare puts t
+        # back into span 8
+        t = np.nextafter(0.9, 0.0)
+        assert int(10.0 * t) == 9
+        assert _knot_spans(np.array([t]))[0] == 8 == searched_spans(np.array([t]))[0]
+
+    def test_random_values(self):
+        ts = np.random.default_rng(17).random(2_000_000)
+        ts = np.concatenate([[0.0, 1.0], ts])
+        np.testing.assert_array_equal(_knot_spans(ts), searched_spans(ts))
+
+
+class TestOutArrays:
+    """Writing into caller-given arrays gives what allocating gives, whatever
+    the arrays held before."""
+
+    OMEGAS = np.array([0.23, 0.5, 0.81])
+
+    def test_piecewise_basis_matrix(self):
+        ts = np.random.default_rng(3).random(300)
+        for omega in (0.37, self.OMEGAS):
+            expected = piecewise_basis_matrix(ts, omega)
+            out = np.full(expected.shape, np.nan)
+            assert piecewise_basis_matrix(ts, omega, out) is out
+            np.testing.assert_array_equal(out, expected)
+
+    def test_piecewise_basis_matrix_rejects_a_bad_out(self):
+        ts = np.linspace(0.0, 1.0, 10)
+        for out in (np.empty((10, 30)), np.empty((29, 10)).T):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                piecewise_basis_matrix(ts, 0.4, out)
+
+    def test_piecewise_spans_and_pp_eval(self):
+        rng = np.random.default_rng(5)
+        ts = rng.random(500)
+        polys = pp_curve(rng.normal(size=(self.OMEGAS.size, NUM_PIECEWISE_BASIS, 2)))
+        spans, us = piecewise_spans(ts, self.OMEGAS)
+        shape = (self.OMEGAS.size, ts.size)
+        out = (np.full(shape, -1, dtype=np.intp), np.full(shape, np.nan))
+        scratch = np.full(shape, np.nan)
+        got = piecewise_spans(ts, self.OMEGAS, out, scratch)
+        assert got[0] is out[0] and got[1] is out[1]
+        np.testing.assert_array_equal(got[0], spans)
+        np.testing.assert_array_equal(got[1], us)
+        xs = np.full(shape, np.nan)
+        assert pp_eval(polys[..., 0], spans, us, xs, scratch) is xs
+        np.testing.assert_array_equal(xs, pp_eval(polys[..., 0], spans, us))
 
 
 class TestRecursiveEvaluator:

@@ -267,6 +267,22 @@ class TestCompareCommand:
         a.pop("label"), b.pop("label")
         assert a == b
 
+    def test_failing_column_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # column a fits, column b is all zeros: every column is fitted before
+        # any output is written, so the error leaves no directory and no file
+        monkeypatch.chdir(tmp_path)
+        csv_path = tmp_path / "data.csv"
+        days = [date(2021, 1, 1) + timedelta(days=k) for k in range(80)]
+        rows = [f"{d.isoformat()},{100.0 + k:.1f},0" for k, d in enumerate(days)]
+        csv_path.write_text("date,a,b\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main(
+            ["compare", "--input", str(csv_path), "--columns", "a,b", "--json-out", "out3"]
+            + FIT_SPEED_FLAGS
+        )
+        assert code == 1
+        assert "zero total" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
 
 class TestBasisCommand:
     def test_quasi_table_shape(self, tmp_path):

@@ -82,14 +82,14 @@ def test_sample_counts_match_loop(n_samples):
 def test_basis_evaluated_once_per_chunk(monkeypatch):
     # the design of a whole chunk is one call of the basis evaluator, plus
     # the pp table's one-time build (one call per knot span)
-    real = basis.quasi_basis_matrix
+    real = basis._basis_values
     calls = []
 
-    def counting(ts):
+    def counting(ts, spans):
         calls.append(len(ts))
-        return real(ts)
+        return real(ts, spans)
 
-    monkeypatch.setattr(basis, "quasi_basis_matrix", counting)
+    monkeypatch.setattr(basis, "_basis_values", counting)
     basis.pp_table.cache_clear()
     f = two_bump(29)
     fit(f)
@@ -105,9 +105,9 @@ def test_chunks_stay_within_the_sample_budget(n_days, n_samples, monkeypatch):
     real = fitting.piecewise_spans
     chunks = []
 
-    def recording(ts, omega):
+    def recording(ts, omega, out=None, scratch=None):
         chunks.append((np.size(omega), ts.size))
-        return real(ts, omega)
+        return real(ts, omega, out, scratch)
 
     monkeypatch.setattr(fitting, "piecewise_spans", recording)
     fit(two_bump(n_days), n_samples=n_samples)

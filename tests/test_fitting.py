@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -384,19 +386,34 @@ class TestFit:
     def test_basis_rows_requested_stay_within_the_design(self, monkeypatch):
         # a 500-day fit asks the basis evaluator for the 81 designs' rows and
         # the one-time pp table (10 spans x 6 points); curve evaluation adds none
-        real = basis.quasi_basis_matrix
+        real = basis._basis_values
         rows = []
 
-        def counting(ts):
+        def counting(ts, spans):
             rows.append(len(ts))
-            return real(ts)
+            return real(ts, spans)
 
-        monkeypatch.setattr(basis, "quasi_basis_matrix", counting)
+        monkeypatch.setattr(basis, "_basis_values", counting)
         basis.pp_table.cache_clear()
         rng = np.random.default_rng(13)
         f = rng.random(500)
         fit(f / f.sum())
         assert sum(rows) <= 81 * 500 + 60
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux minor-fault counts")
+    def test_repeat_fit_does_not_refault_its_memory(self):
+        # a fit allocates its large arrays once, not per candidate, so a second
+        # 2000-day fit in one process reuses the heap instead of faulting it
+        # in again (about 33k minor faults when every candidate allocated its
+        # own temporaries and the heap top went back to the OS in between)
+        resource = pytest.importorskip("resource")
+        rng = np.random.default_rng(19)
+        f = rng.random(2000) + 0.1
+        f /= f.sum()
+        fit(f)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        fit(f)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 5000
 
     def test_singleton_grid(self):
         f = np.full(60, 1.0 / 60)
@@ -454,9 +471,9 @@ class TestFit:
         real_design, real_cholesky = fitting.assemble_design, fitting._cholesky
         assembled, factorized = [], []
 
-        def recording(params, omega):
+        def recording(params, omega, out=None):
             assembled.extend(np.atleast_1d(omega).tolist())
-            return real_design(params, omega)
+            return real_design(params, omega, out)
 
         def flaky(gram):
             omega = assembled[len(factorized)]
@@ -488,8 +505,8 @@ class TestFit:
         # factorize; the other candidates of its chunk must be unaffected
         real = fitting.assemble_design
 
-        def zero_at_half(params, omega):
-            design = real(params, omega)
+        def zero_at_half(params, omega, out=None):
+            design = real(params, omega, out)
             design[np.atleast_1d(omega) == 0.5] = 0.0
             return design
 
