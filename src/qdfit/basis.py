@@ -92,28 +92,29 @@ def _basis_values(ts: np.ndarray, spans: np.ndarray) -> np.ndarray:
     result, shape (ORDER, len(ts)), holds N_{s+j}(t) for t in span s.
 
     The Cox-de Boor recurrence (Piegl & Tiller, The NURBS Book, A2.2), run
-    bottom-up for all parameters at once on contiguous rows.
+    bottom-up for all parameters at once, one degree level at a time: level
+    j updates the j rows r = 0..j-1 as (j, m) slices, each element by the
+    same operations in the same order as A2.2's loop over r.  The result
+    and the work rows are views of one block, allocated once per call.
     """
     m = ts.size
-    vals = np.empty((ORDER, m))
-    left = np.empty((ORDER, m))
-    right = np.empty((ORDER, m))
-    temp = np.empty(m)
-    saved = np.empty(m)
+    block = np.empty((3 * ORDER + DEGREE, m))
+    vals, left, right, temp = np.split(block, [ORDER, 2 * ORDER, 3 * ORDER])
     vals[0] = 1.0
     for j in range(1, ORDER):
         np.take(_KNOTS[ORDER - j :], spans, out=left[j], mode="clip")
         np.subtract(ts, left[j], out=left[j])  # t - knot_{s+6-j}
         np.take(_KNOTS[DEGREE + j :], spans, out=right[j], mode="clip")
         right[j] -= ts  # knot_{s+5+j} - t
-        saved.fill(0.0)
-        for r in range(j):
-            np.add(right[r + 1], left[j - r], out=temp)
-            np.divide(vals[r], temp, out=temp)
-            np.multiply(right[r + 1], temp, out=vals[r])
-            vals[r] += saved
-            np.multiply(left[j - r], temp, out=saved)
-        vals[j] = saved
+        lefts = left[j:0:-1]  # row r holds left[j - r]
+        rights = right[1 : j + 1]  # row r holds right[r + 1]
+        quotient = temp[:j]
+        np.add(rights, lefts, out=quotient)
+        np.divide(vals[:j], quotient, out=quotient)
+        np.multiply(rights, quotient, out=vals[:j])
+        quotient *= lefts  # row r is what A2.2 carries ("saved") into row r + 1
+        vals[1:j] += quotient[: j - 1]
+        vals[j] = quotient[j - 1]
     return vals
 
 

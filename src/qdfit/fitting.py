@@ -1,27 +1,32 @@
 """Least-squares fitting of a two-piece quintic B-spline curve to day counts.
 
 `fit` turns the data into points and chord-length parameters once, then
-scores the segmentation-point candidates omega of the grid in chunks, a
-few candidates at a time, each step stacked over the chunk:
+scores the segmentation-point candidates omega of the grid in two stages,
+each step stacked over several candidates:
 
     data (k, f_k)  ->  chord-length parameters t_k              (once)
+    stage 1, a stack of candidates at a time:
                    ->  design matrices  phi[g, k, i] = N_i(t_k; omega_g)
                    ->  normal equations  (phi' phi + ridge) C = phi' P,
-                       factorized one candidate at a time
+                       one Cholesky call per stack
+                   =   the (grid, 29, 2) control points of the whole grid
+    stage 2, a chunk of candidates at a time, in grid order:
                    ->  x(t) of the fitted curves at the uniform samples, in pp-form
                    ->  discretization back onto the day grid, evaluating
                        y(t) only at the samples it uses
                    ->  mean square error against f_k, per candidate
 
-and keeps the best candidate seen so far.  A chunk holds as many
-candidates as fit in CHUNK_SAMPLES curve samples, which bounds its memory.
-`fit` allocates the work arrays of its first, largest chunk once, the
-design stack and four arrays per curve sample, and every chunk writes into
-views of them, so that their memory is not given back to the OS and
-faulted in again between chunks.  Every stacked step is elementwise or
-runs the same BLAS/LAPACK routine per candidate, so the results equal
-those of fitting one candidate at a time, bit for bit.  `fit_fixed_omega`
-is `fit` on a one-candidate grid.
+and keeps the best candidate seen so far.  One byte budget, WORK_BYTES,
+sizes both: a stack holds as many candidates as its design rows fit in it
+at DESIGN_ROW_BYTES each, a chunk as many as its curve samples fit at
+SAMPLE_BYTES each.  Stage 1 needs N rows per candidate and stage 2 20 N
+samples, so stacks hold more candidates than chunks.  `fit` allocates one
+work buffer per fit, and the design stack of stage 1 and the four sampling
+arrays of stage 2 are views of it, so that their memory is not given back
+to the OS and faulted in again between stacks or chunks.  Every stacked
+step is elementwise or runs the same BLAS/LAPACK routine per candidate, so
+the results equal those of fitting one candidate at a time, bit for bit.
+`fit_fixed_omega` is `fit` on a one-candidate grid.
 """
 
 from __future__ import annotations
@@ -53,13 +58,25 @@ DEFAULT_OMEGA_STEP = 0.01
 # dense samples per day cell; keeps the max-below discretization rule stable
 SAMPLES_PER_DAY = 20
 
-# curve samples per chunk of grid candidates; bounds the fit's work arrays,
-# which are its memory peak: spans, u, x and a Horner scratch, 32 bytes per
-# sample (0.5 MB here), held for the whole fit, plus the design stack and
-# the day rule's argsort.  Larger chunks grew the process's peak RSS on the
-# lib-fit-windows benchmark workload (by 2% at 2**15 and 6% at 2**16,
-# measured before the work arrays)
-CHUNK_SAMPLES = 2**14
+# bytes of work memory a fit may take for its stacked steps; the design
+# stack of stage 1 and the sampling arrays of stage 2 are views of one
+# buffer of at most this size (unless one candidate alone needs more),
+# held for the whole fit.  Larger chunks grew the process's peak RSS on the
+# lib-fit-windows benchmark workload (by 2% at twice this and 6% at four
+# times, measured before the work buffer)
+WORK_BYTES = 2**19
+
+# stage 1 charges a design row 63 floats: its 29 and the transient work of
+# assembling and solving it.  By tracemalloc that work peaks at 30.5 floats
+# a row in the basis evaluator (its Cox-de Boor block is 23 of them), plus
+# the row's share of the stack's Gram matrices and factors: under one
+# float from 120 days on, 34 at 29 days
+DESIGN_ROW_BYTES = 8 * 63
+
+# stage 2 charges a curve sample its four work values: span (intp), u, x
+# and a Horner scratch
+_SAMPLING_DTYPES = (np.intp, np.float64, np.float64, np.float64)
+SAMPLE_BYTES = sum(np.dtype(dtype).itemsize for dtype in _SAMPLING_DTYPES)
 
 
 class IllConditionedError(RuntimeError):
@@ -140,7 +157,7 @@ def assemble_design(params: np.ndarray, omega, out: np.ndarray | None = None) ->
 
 
 def _cholesky(gram: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of one Gram matrix."""
+    """Lower Cholesky factor of a Gram matrix, or of each of a stack of them."""
     try:
         return np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
@@ -154,8 +171,9 @@ def solve_normal_equations(design: np.ndarray, points: np.ndarray) -> np.ndarray
     factorization.  For one (N, 29) design it returns (29, 2) and raises
     IllConditionedError if the factorization fails, so grid search can
     skip the candidate.  For a stack (g, N, 29) of designs sharing the
-    points it returns (g, 29, 2); a candidate whose factorization fails
-    gets NaN controls, and the others are still solved.
+    points it returns (g, 29, 2), factorizing the stack in one call; a
+    candidate whose factorization fails gets NaN controls, and the others
+    are still solved.
     """
     design = np.asarray(design, dtype=float)
     points = np.asarray(points, dtype=float)
@@ -170,20 +188,24 @@ def solve_normal_equations(design: np.ndarray, points: np.ndarray) -> np.ndarray
     ridge = RIDGE_SCALE * np.trace(gram, axis1=-2, axis2=-1) / size
     diagonal = np.arange(size)
     gram[..., diagonal, diagonal] += np.asarray(ridge)[..., None]
-    if gram.ndim == 2:
-        lower = _cholesky(gram)
-        return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
-    # one factorization per candidate: a stacked call fails the whole stack
-    lower = np.empty_like(gram)
-    failed = np.zeros(len(gram), dtype=bool)
-    for i, one in enumerate(gram):
-        try:
-            lower[i] = _cholesky(one)
-        except IllConditionedError:
-            lower[i] = np.identity(size)
-            failed[i] = True
+    failed = None
+    try:
+        lower = _cholesky(gram)  # LAPACK runs on each matrix of a stack in turn
+    except IllConditionedError:
+        if gram.ndim == 2:
+            raise
+        # a stacked call fails the whole stack: factorize one candidate at a time
+        lower = np.empty_like(gram)
+        failed = np.zeros(len(gram), dtype=bool)
+        for i, one in enumerate(gram):
+            try:
+                lower[i] = _cholesky(one)
+            except IllConditionedError:
+                lower[i] = np.identity(size)
+                failed[i] = True
     controls = np.linalg.solve(np.swapaxes(lower, -1, -2), np.linalg.solve(lower, rhs))
-    controls[failed] = np.nan
+    if failed is not None:
+        controls[failed] = np.nan
     return controls
 
 
@@ -267,9 +289,15 @@ def default_omega_grid(
         raise ValueError("omega grid step must be positive")
     if not (0.0 < lo <= hi < 1.0):
         raise ValueError("omega grid bounds must satisfy 0 < lo <= hi < 1")
-    count = int(round((hi - lo) / step)) + 1
+    count = int((hi - lo) / step * (1.0 + 1e-9)) + 1  # steps within hi, division noise forgiven
     grid = np.round(lo + step * np.arange(count), 12)  # drop float-step noise
-    return grid[(grid > 0.0) & (grid < 1.0)]
+    return np.clip(grid, lo, hi)  # the rounding may not leave [lo, hi]
+
+
+def _view(buffer: np.ndarray, offset: int, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """The array of `shape` and `dtype` over the bytes of `buffer` from `offset` on."""
+    size = np.dtype(dtype).itemsize * math.prod(shape)
+    return buffer[offset : offset + size].view(dtype).reshape(shape)
 
 
 def fit(
@@ -302,22 +330,34 @@ def fit(
     points = data_points(f)
     params = chord_length_params(points)
     ts = _sample_params(SAMPLES_PER_DAY * f.size if n_samples is None else n_samples)
-    # a candidate costs its curve samples or, when fewer than the default are
-    # asked for, its design: a design row takes about the memory of
-    # SAMPLES_PER_DAY samples
-    per_chunk = max(1, CHUNK_SAMPLES // max(ts.size, SAMPLES_PER_DAY * f.size))
-    size = min(per_chunk, grid.size)  # the first chunk is the largest
-    design = np.empty((size, f.size, NUM_PIECEWISE_BASIS))
-    sampling = [np.empty((size, ts.size), dtype) for dtype in (np.intp, float, float, float)]
+    per_stack = min(grid.size, max(1, WORK_BYTES // (DESIGN_ROW_BYTES * f.size)))
+    per_chunk = min(grid.size, max(1, WORK_BYTES // (SAMPLE_BYTES * ts.size)))
+    design_shape = (per_stack, f.size, NUM_PIECEWISE_BASIS)
+    sampling_shape = (per_chunk, ts.size)
+    design_bytes = np.dtype(np.float64).itemsize * math.prod(design_shape)
+    work = np.empty(max(design_bytes, SAMPLE_BYTES * math.prod(sampling_shape)), np.uint8)
+    design = _view(work, 0, np.float64, design_shape)
+    sampling, offset = [], 0
+    for dtype in _SAMPLING_DTYPES:
+        sampling.append(_view(work, offset, dtype, sampling_shape))
+        offset += sampling[-1].nbytes
 
+    # stage 1: the controls of every candidate, solved a stack at a time
+    controls = np.empty((grid.size, NUM_PIECEWISE_BASIS, 2))
+    for start in range(0, grid.size, per_stack):
+        stack = grid[start : start + per_stack]
+        stacked = assemble_design(params, stack, design[: stack.size])
+        controls[start : start + stack.size] = solve_normal_equations(stacked, points)
+
+    # stage 2: discretize and score the curves a chunk at a time, in grid order
     scores: list[tuple[float, float]] = []
     best = None  # (mse, omega, controls, discretized) of the best candidate so far
     for start in range(0, grid.size, per_chunk):
         chunk = grid[start : start + per_chunk]
         g = chunk.size
-        controls = solve_normal_equations(assemble_design(params, chunk, design[:g]), points)
-        signals = _discretize_curves(chunk, controls, ts, f.size, [a[:g] for a in sampling])
-        for omega, control, signal in zip(chunk.tolist(), controls, signals):
+        chunk_controls = controls[start : start + g]
+        signals = _discretize_curves(chunk, chunk_controls, ts, f.size, [a[:g] for a in sampling])
+        for omega, control, signal in zip(chunk.tolist(), chunk_controls, signals):
             if np.isnan(control[0, 0]):  # the normal equations failed
                 scores.append((omega, math.inf))
                 continue

@@ -1,17 +1,21 @@
-"""Closed-form reference for the quintic base family, used only by the tests.
+"""References for the quintic base family, used only by the tests.
 
 The 15 clamped quintic B-splines over [0 x6, 0.1, ..., 0.9, 1 x6] written out
 as explicit piecewise polynomials.  They share no code with the Cox-de Boor
 evaluator in `qdfit.basis`, so the tests compare that evaluator against them.
 Supports are half-open on the right, so base function 14 is taken at t=1 by
 reflection of function 0 at 0.
+
+`basis_values_loop` is the Cox-de Boor recurrence as Piegl & Tiller's A2.2
+writes it, one row r at a time; `qdfit.basis._basis_values` runs it one
+degree level at a time and must equal it bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qdfit.basis import NUM_PIECEWISE_BASIS, NUM_QUASI_BASIS
+from qdfit.basis import DEGREE, NUM_PIECEWISE_BASIS, NUM_QUASI_BASIS, ORDER, make_knot_vector
 
 # Pieces are written in terms of the shifted variables T_i = t - 0.1 i.
 # Functions 6..9 are translates of #5; 10..14 are reflections of 4..0.
@@ -239,3 +243,29 @@ def closed_form_piecewise_row(t: float, omega: float) -> np.ndarray:
     else:
         out[NUM_QUASI_BASIS - 1 :] = closed_form_row((t - omega) / (1.0 - omega))
     return out
+
+
+def basis_values_loop(ts: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """`qdfit.basis._basis_values` by A2.2's inner loop over r, vectorized over t."""
+    knots = make_knot_vector()
+    m = ts.size
+    vals = np.empty((ORDER, m))
+    left = np.empty((ORDER, m))
+    right = np.empty((ORDER, m))
+    temp = np.empty(m)
+    saved = np.empty(m)
+    vals[0] = 1.0
+    for j in range(1, ORDER):
+        np.take(knots[ORDER - j :], spans, out=left[j], mode="clip")
+        np.subtract(ts, left[j], out=left[j])  # t - knot_{s+6-j}
+        np.take(knots[DEGREE + j :], spans, out=right[j], mode="clip")
+        right[j] -= ts  # knot_{s+5+j} - t
+        saved.fill(0.0)
+        for r in range(j):
+            np.add(right[r + 1], left[j - r], out=temp)
+            np.divide(vals[r], temp, out=temp)
+            np.multiply(right[r + 1], temp, out=vals[r])
+            vals[r] += saved
+            np.multiply(left[j - r], temp, out=saved)
+        vals[j] = saved
+    return vals

@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from basis_oracle import closed_form_piecewise_row, closed_form_row, eval_basis_closed_form
+from basis_oracle import (
+    basis_values_loop,
+    closed_form_piecewise_row,
+    closed_form_row,
+    eval_basis_closed_form,
+)
 from qdfit.basis import (
     DEGREE,
     NUM_PIECEWISE_BASIS,
     NUM_QUASI_BASIS,
+    _basis_values,
     _knot_spans,
     make_knot_vector,
     piecewise_basis_matrix,
@@ -71,6 +77,29 @@ class TestKnotSpans:
         ts = np.random.default_rng(17).random(2_000_000)
         ts = np.concatenate([[0.0, 1.0], ts])
         np.testing.assert_array_equal(_knot_spans(ts), searched_spans(ts))
+
+
+class TestLevelAtATime:
+    """`_basis_values` runs Cox-de Boor one degree level at a time; it must
+    equal the loop over r of `basis_values_loop` bit for bit."""
+
+    @staticmethod
+    def assert_same(ts):
+        spans = _knot_spans(ts)
+        np.testing.assert_array_equal(_basis_values(ts, spans), basis_values_loop(ts, spans))
+
+    def test_domain_ends(self):
+        self.assert_same(np.array([0.0, 1.0]))
+
+    def test_ulps_around_every_knot(self):
+        offsets = np.arange(-20, 21)
+        ts = np.concatenate(
+            [(np.float64(k).view(np.int64) + offsets).view(np.float64) for k in np.unique(make_knot_vector())]
+        )
+        self.assert_same(ts[(ts >= 0.0) & (ts <= 1.0)])
+
+    def test_random_values(self):
+        self.assert_same(np.random.default_rng(23).random(200_000))
 
 
 class TestOutArrays:

@@ -160,6 +160,22 @@ class TestFitCommand:
         assert code == 1
         assert "omega" in capsys.readouterr().err
 
+    def test_omega_grid_stays_within_its_bounds(self, tmp_path):
+        # 0.05 + 8 * 0.02 = 0.21 would pass --omega-max 0.2
+        csv_path = tmp_path / "data.csv"
+        start, n_days = _write_csv(csv_path, ["confirmed"])
+        json_out = tmp_path / "r.json"
+        code = main(
+            ["fit", "--input", str(csv_path), "--column", "confirmed",
+             "--begin", start.isoformat(), "--days", str(n_days),
+             "--omega-min", "0.05", "--omega-max", "0.2", "--omega-step", "0.02",
+             "--json-out", str(json_out), "--svg-out", str(tmp_path / "p.svg")]
+        )
+        assert code == 0
+        report = parse_report(json_out.read_text())
+        omegas = sorted(w for w, _ in report.omega_grid_scores)
+        np.testing.assert_array_equal(omegas, np.arange(5, 20, 2) / 100)
+
     def test_country_and_begin_conflict(self, tmp_path, capsys):
         csv_path = tmp_path / "data.csv"
         _write_csv(csv_path, ["confirmed"])

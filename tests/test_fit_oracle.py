@@ -1,5 +1,5 @@
-"""`fit` scores the omega grid in chunks of stacked candidates; it must give
-exactly what the per-candidate loop in `fit_oracle.py` gives."""
+"""`fit` solves the omega grid in stacks and scores it in chunks of candidates;
+it must give exactly what the per-candidate loop in `fit_oracle.py` gives."""
 
 import math
 from unittest import mock
@@ -31,9 +31,15 @@ def two_bump(n_days):
     return f / f.sum()
 
 
+def per_stack(n_days):
+    """Candidates per stage-1 stack: design rows within the byte budget."""
+    return max(1, fitting.WORK_BYTES // (fitting.DESIGN_ROW_BYTES * n_days))
+
+
 def per_chunk(n_days, n_samples=None):
-    samples = fitting.SAMPLES_PER_DAY * n_days
-    return max(1, fitting.CHUNK_SAMPLES // max(samples if n_samples is None else n_samples, samples))
+    """Candidates per stage-2 chunk: curve samples within the byte budget."""
+    samples = fitting.SAMPLES_PER_DAY * n_days if n_samples is None else n_samples
+    return max(1, fitting.WORK_BYTES // (fitting.SAMPLE_BYTES * samples))
 
 
 @pytest.mark.parametrize("n_days", [29, 60, 120, 250, 500, 2000])
@@ -64,8 +70,17 @@ def test_grid_not_a_multiple_of_the_chunk():
     f /= f.sum()
     size = per_chunk(f.size)
     grid = np.round(0.12 + 0.025 * np.arange(2 * size + 3), 12)
-    assert 1 < size and grid.size % size != 0 and grid[-1] < 1.0
+    assert 1 < size and grid.size % size != 0 and grid.size % per_stack(f.size) != 0
+    assert grid[-1] < 1.0
     assert_same_fit(fit(f, grid), fit_loop(f, grid))
+
+
+def test_stack_and_chunk_boundaries_differ():
+    # at 60 days a stage-1 stack holds 17 candidates and a stage-2 chunk 13,
+    # so the default grid's stacks and chunks end at different candidates
+    f = two_bump(60)
+    assert (per_stack(f.size), per_chunk(f.size)) == (17, 13)
+    assert_same_fit(fit(f), fit_loop(f))
 
 
 def test_one_candidate_grid():
@@ -80,7 +95,7 @@ def test_sample_counts_match_loop(n_samples):
 
 
 def test_basis_evaluated_once_per_chunk(monkeypatch):
-    # the design of a whole chunk is one call of the basis evaluator, plus
+    # the design of a whole stack is one call of the basis evaluator, plus
     # the pp table's one-time build (one call per knot span)
     real = basis._basis_values
     calls = []
@@ -94,28 +109,36 @@ def test_basis_evaluated_once_per_chunk(monkeypatch):
     f = two_bump(29)
     fit(f)
     grid_size = default_omega_grid().size
-    assert len(calls) <= math.ceil(grid_size / per_chunk(f.size)) + basis.NUM_SPANS
-    assert per_chunk(f.size) > 1
+    assert len(calls) <= math.ceil(grid_size / per_stack(f.size)) + basis.NUM_SPANS
+    assert per_stack(f.size) > 1
 
 
 @pytest.mark.parametrize("n_days, n_samples", [(29, None), (120, None), (500, None), (60, 2)])
 def test_chunks_stay_within_the_sample_budget(n_days, n_samples, monkeypatch):
-    # a chunk's sampling arrays are what bound the fit's memory; with few
-    # samples its designs do, each row counted as SAMPLES_PER_DAY samples
-    real = fitting.piecewise_spans
-    chunks = []
+    # stage 1 charges each design row DESIGN_ROW_BYTES, stage 2 each curve
+    # sample SAMPLE_BYTES; a stack or chunk of one candidate may exceed it
+    real_design, real_spans = fitting.assemble_design, fitting.piecewise_spans
+    stacks, chunks = [], []
 
-    def recording(ts, omega, out=None, scratch=None):
+    def recording_design(params, omega, out=None):
+        stacks.append((np.size(omega), params.size))
+        return real_design(params, omega, out)
+
+    def recording_spans(ts, omega, out=None, scratch=None):
         chunks.append((np.size(omega), ts.size))
-        return real(ts, omega, out, scratch)
+        return real_spans(ts, omega, out, scratch)
 
-    monkeypatch.setattr(fitting, "piecewise_spans", recording)
+    monkeypatch.setattr(fitting, "assemble_design", recording_design)
+    monkeypatch.setattr(fitting, "piecewise_spans", recording_spans)
     fit(two_bump(n_days), n_samples=n_samples)
-    size = per_chunk(n_days, n_samples)
-    assert len(chunks) == math.ceil(default_omega_grid().size / size)
+    grid_size = default_omega_grid().size
+    assert len(stacks) == math.ceil(grid_size / per_stack(n_days))
+    assert len(chunks) == math.ceil(grid_size / per_chunk(n_days, n_samples))
+    for candidates, rows in stacks:
+        assert rows == n_days
+        assert candidates == 1 or candidates * rows * fitting.DESIGN_ROW_BYTES <= fitting.WORK_BYTES
     for candidates, samples in chunks:
-        cost = max(samples, fitting.SAMPLES_PER_DAY * n_days)
-        assert candidates == 1 or candidates * cost <= fitting.CHUNK_SAMPLES
+        assert candidates == 1 or candidates * samples * fitting.SAMPLE_BYTES <= fitting.WORK_BYTES
 
 
 GRID = np.round(0.1 + 0.05 * np.arange(17), 12)
@@ -124,7 +147,7 @@ F40 = two_bump(40)
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.lists(st.sampled_from(list(GRID)), min_size=1, max_size=2 * per_chunk(F40.size) + 2),
+    st.lists(st.sampled_from(list(GRID)), min_size=1, max_size=2 * max(per_stack(F40.size), per_chunk(F40.size)) + 2),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_winner_ignores_grid_order_and_duplicates(picks, seed):

@@ -403,17 +403,18 @@ class TestFit:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux minor-fault counts")
     def test_repeat_fit_does_not_refault_its_memory(self):
         # a fit allocates its large arrays once, not per candidate, so a second
-        # 2000-day fit in one process reuses the heap instead of faulting it
-        # in again (about 33k minor faults when every candidate allocated its
-        # own temporaries and the heap top went back to the OS in between)
+        # fit in one process reuses the heap instead of faulting it in again
+        # (about 33k minor faults at 2000 days when every candidate allocated
+        # its own temporaries and the heap top went back to the OS in between);
+        # at 500 days stage 1 stacks two candidates, at 2000 days one
         resource = pytest.importorskip("resource")
-        rng = np.random.default_rng(19)
-        f = rng.random(2000) + 0.1
-        f /= f.sum()
-        fit(f)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        fit(f)
-        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 5000
+        for n_days in (500, 2000):
+            f = np.random.default_rng(19).random(n_days) + 0.1
+            f /= f.sum()
+            fit(f)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            fit(f)
+            assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 5000, n_days
 
     def test_singleton_grid(self):
         f = np.full(60, 1.0 / 60)
@@ -466,19 +467,23 @@ class TestFit:
         assert len(calls) == 3
 
     def test_ill_conditioned_candidates_become_sentinels(self, monkeypatch):
-        # the normal equations are factorized one candidate at a time, in grid
-        # order, after each chunk's designs are assembled
+        # each stack's normal equations are factorized in one call; after a
+        # stacked failure, once per candidate, in grid order
         real_design, real_cholesky = fitting.assemble_design, fitting._cholesky
-        assembled, factorized = [], []
+        assembled, stacks, factorized = [], [], []
 
         def recording(params, omega, out=None):
             assembled.extend(np.atleast_1d(omega).tolist())
             return real_design(params, omega, out)
 
         def flaky(gram):
-            omega = assembled[len(factorized)]
-            factorized.append(omega)
-            if omega < 0.4:
+            if gram.ndim == 3:
+                stacks.append(assembled[-len(gram) :])
+                omegas = stacks[-1]
+            else:
+                omegas = [assembled[len(factorized)]]
+                factorized.extend(omegas)
+            if min(omegas) < 0.4:
                 raise IllConditionedError("synthetic failure")
             return real_cholesky(gram)
 
@@ -486,6 +491,7 @@ class TestFit:
         monkeypatch.setattr(fitting, "_cholesky", flaky)
         f = np.full(60, 1.0 / 60)
         result = fitting.fit(f, omega_grid=[0.2, 0.3, 0.5, 0.7])
+        assert stacks == [[0.2, 0.3, 0.5, 0.7]]
         assert factorized == [0.2, 0.3, 0.5, 0.7]
         scores = dict(result.omega_grid_scores)
         assert scores[0.2] == float("inf")
@@ -514,7 +520,9 @@ class TestFit:
         f = rng.random(60)
         f /= f.sum()
         grid = [0.2, 0.5, 0.35, 0.8]
-        assert fitting.CHUNK_SAMPLES // (fitting.SAMPLES_PER_DAY * f.size) >= len(grid)
+        # one stage-1 stack and one stage-2 chunk hold the whole grid
+        assert fitting.WORK_BYTES // (fitting.DESIGN_ROW_BYTES * f.size) >= len(grid)
+        assert fitting.WORK_BYTES // (fitting.SAMPLE_BYTES * fitting.SAMPLES_PER_DAY * f.size) >= len(grid)
         clean, runner_up = fit(f, grid), fit(f, [0.35])
         monkeypatch.setattr(fitting, "assemble_design", zero_at_half)
         result = fit(f, grid)
@@ -553,7 +561,25 @@ class TestFit:
         assert grid[0] == pytest.approx(0.10)
         assert grid[-1] == pytest.approx(0.90)
         assert np.allclose(np.diff(grid), 0.01)
+        np.testing.assert_array_equal(grid, np.arange(10, 91) / 100)
         with pytest.raises(ValueError):
             default_omega_grid(step=0.0)
         with pytest.raises(ValueError):
             default_omega_grid(0.0, 0.9)
+
+    def test_grid_never_passes_its_upper_bound(self):
+        # (0.65 - 0.1) / 0.3 rounds to 2 steps, which would end the grid at 0.7
+        np.testing.assert_array_equal(default_omega_grid(0.1, 0.65, 0.3), [0.1, 0.4])
+        np.testing.assert_array_equal(default_omega_grid(0.05, 0.2, 0.02), np.arange(5, 20, 2) / 100)
+        # rounding to 12 decimals would put this one-candidate grid above hi
+        lone = 0.3333333333336
+        np.testing.assert_array_equal(default_omega_grid(lone, lone, 0.1), [lone])
+        decimals = np.arange(1, 100) / 100
+        for lo in decimals[::4]:
+            for hi in decimals[decimals >= lo][::3]:
+                for step in (0.01, 0.02, 0.03, 0.05, 0.07, 0.1, 0.3):
+                    grid = default_omega_grid(lo, hi, step)
+                    assert grid[0] == lo and grid[-1] <= hi
+                    # every step that stays within hi is kept
+                    assert grid[-1] + step > hi + 1e-12
+                    np.testing.assert_allclose(np.diff(grid), step)
