@@ -16,8 +16,7 @@ from .fitting import (
 )
 from .ingest import (
     HistogramDistribution,
-    RawSeries,
-    SmoothedSeries,
+    Series,
     WindowSpec,
     extract_window,
     histogram,
@@ -46,8 +45,7 @@ __all__ = [
     "Peak",
     "PiecewiseCurve",
     "QuasiDistribution",
-    "RawSeries",
-    "SmoothedSeries",
+    "Series",
     "WindowSpec",
     "build_report",
     "default_omega_grid",

@@ -3,9 +3,10 @@
 Exit status is 0 iff every requested output file was written.  A domain error
 exits 1 with a one-line diagnostic on stderr and writes no file (`compare`
 fits every column before it writes anything): the CLI checks the flags and
-files it alone reads (missing file or column), and passes on the library's
-message for a rule on the fit's input (window under 29 days, all-zero window,
-omega grid, prominence, no usable segmentation point).
+files it alone reads (missing file or column, a repeated compare column, a
+label that names an output file but is no plain file name), and passes on
+the library's message for a rule on the fit's input (window under 29 days,
+all-zero window, omega grid, prominence, no usable segmentation point).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -24,7 +24,6 @@ import numpy as np
 from .basis import NUM_PIECEWISE_BASIS, NUM_QUASI_BASIS, piecewise_basis_matrix, quasi_basis_matrix
 from .fitting import DEFAULT_OMEGA_MAX, DEFAULT_OMEGA_MIN, DEFAULT_OMEGA_STEP, default_omega_grid, fit
 from .ingest import (
-    RawSeries,
     WindowSpec,
     extract_window,
     histogram,
@@ -36,73 +35,50 @@ from .quasidist import QuasiDistribution, quasi_distribution
 from .report import FitReport, build_report, emit_json, emit_overlay_svg, emit_panel_svg
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated knobs shared by the fit and compare commands."""
+def _fit_columns(
+    args: argparse.Namespace, labels: list[str]
+) -> list[tuple[np.ndarray, QuasiDistribution, FitReport]]:
+    """Fit each labeled CSV column over the window the flags select.
 
-    input_path: Path
-    columns: list[str]
-    country: str | None
-    begin: date | None
-    end: date | None
-    days: int
-    omega_grid: np.ndarray
-    prominence: float
+    Writes nothing: a command fits every column before it writes a file.
+    """
+    begin = date.fromisoformat(args.begin) if args.begin else None
+    end = date.fromisoformat(args.end) if args.end else None
+    if args.country and (begin or end):
+        raise ValueError("give either --country or --begin/--end, not both")
+    if end and not begin:
+        raise ValueError("--end requires --begin")
+    omega_grid = default_omega_grid(args.omega_min, args.omega_max, args.omega_step)
+    window = preset_window(args.country) if args.country else None
+    if begin:
+        window = WindowSpec("custom", begin, end or begin + timedelta(days=args.days - 1))
 
-    @classmethod
-    def from_args(cls, args: argparse.Namespace, columns: list[str]) -> "CliConfig":
-        begin = date.fromisoformat(args.begin) if args.begin else None
-        end = date.fromisoformat(args.end) if args.end else None
-        if args.country and (begin or end):
-            raise ValueError("give either --country or --begin/--end, not both")
-        if end and not begin:
-            raise ValueError("--end requires --begin")
-        return cls(
-            input_path=Path(args.input),
-            columns=columns,
-            country=args.country,
-            begin=begin,
-            end=end,
-            days=args.days,
-            omega_grid=default_omega_grid(args.omega_min, args.omega_max, args.omega_step),
-            prominence=args.prominence,
-        )
-
-
-def _load_columns(config: CliConfig) -> dict[str, RawSeries]:
-    if not config.input_path.exists():
-        raise ValueError(f"input file not found: {config.input_path}")
-    series = parse_csv(config.input_path.read_text(encoding="utf-8"))
-    by_label = {s.label: s for s in series}
-    for label in config.columns:
+    input_path = Path(args.input)
+    if not input_path.exists():
+        raise ValueError(f"input file not found: {input_path}")
+    by_label = {s.label: s for s in parse_csv(input_path.read_text(encoding="utf-8"))}
+    for label in labels:
         if label not in by_label:
-            raise ValueError(
-                f"column {label!r} not found; available: {', '.join(by_label)}"
-            )
-    return {label: by_label[label] for label in config.columns}
+            raise ValueError(f"column {label!r} not found; available: {', '.join(by_label)}")
+
+    fitted = []
+    for label in labels:
+        smoothed = moving_average_7(by_label[label])
+        span = window or WindowSpec("full-range", smoothed.start_date, smoothed.end_date)
+        data = histogram(extract_window(smoothed, span))
+        result = fit(data, omega_grid)
+        quasi = quasi_distribution(result.discretized, args.prominence)
+        report = build_report(
+            label, span, result.omega, result.mse, quasi, result.omega_grid_scores
+        )
+        fitted.append((data.f, quasi, report))
+    return fitted
 
 
-def _resolve_window(config: CliConfig, smoothed) -> WindowSpec:
-    if config.country:
-        return preset_window(config.country)
-    if config.begin:
-        end = config.end or config.begin + timedelta(days=config.days - 1)
-        return WindowSpec("custom", config.begin, end)
-    return WindowSpec("full-range", smoothed.start_date, smoothed.end_date)
-
-
-def _fit_series(
-    raw: RawSeries, config: CliConfig
-) -> tuple[np.ndarray, QuasiDistribution, FitReport]:
-    smoothed = moving_average_7(raw)
-    window = _resolve_window(config, smoothed)
-    data = histogram(extract_window(smoothed, window))
-    result = fit(data, config.omega_grid)
-    quasi = quasi_distribution(result.discretized, config.prominence)
-    report = build_report(
-        raw.label, window, result.omega, result.mse, quasi, result.omega_grid_scores
-    )
-    return data.f, quasi, report
+def _check_file_label(label: str) -> None:
+    """Reject a label that, joined to a directory, would leave it or name no file."""
+    if label in ("", ".", "..") or "/" in label or "\\" in label:
+        raise ValueError(f"column label {label!r} cannot name an output file")
 
 
 def _summary_line(report: FitReport) -> str:
@@ -113,15 +89,16 @@ def _summary_line(report: FitReport) -> str:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    config = CliConfig.from_args(args, [args.column])
-    raw = _load_columns(config)[args.column]
-    f, quasi, report = _fit_series(raw, config)
+    label = args.column
+    if not (args.json_out and args.svg_out):
+        _check_file_label(label)
+    [(f, quasi, report)] = _fit_columns(args, [label])
 
-    json_path = Path(args.json_out or f"{raw.label}.report.json")
-    svg_path = Path(args.svg_out or f"{raw.label}.panel.svg")
+    json_path = Path(args.json_out or f"{label}.report.json")
+    svg_path = Path(args.svg_out or f"{label}.panel.svg")
     json_path.write_text(emit_json(report), encoding="utf-8")
     svg_path.write_text(
-        emit_panel_svg(f, quasi.values, raw.label, report.omega, report.variance),
+        emit_panel_svg(f, quasi.values, label, report.omega, report.variance),
         encoding="utf-8",
     )
     print(_summary_line(report))
@@ -133,11 +110,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     if len(columns) < 2:
         raise ValueError("overlay needs >=2 columns (comma-separated via --columns)")
-    config = CliConfig.from_args(args, columns)
-    raws = _load_columns(config)
-
-    # every column is fitted before anything is written: an error writes nothing
-    fitted = [_fit_series(raws[label], config) for label in columns]
+    if len(set(columns)) != len(columns):
+        raise ValueError(f"--columns repeats a column: {args.columns}")
+    for label in columns:
+        _check_file_label(label)
+    fitted = _fit_columns(args, columns)
 
     out_dir = Path(args.json_out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

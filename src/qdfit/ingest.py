@@ -29,26 +29,8 @@ _PRESET_RESOURCE = "data/country_windows.csv"
 
 
 @dataclass(frozen=True)
-class RawSeries:
-    """Contiguous daily counts for one labeled quantity."""
-
-    label: str
-    start_date: date
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def dates(self) -> list[date]:
-        return [self.start_date + timedelta(days=k) for k in range(len(self))]
-
-
-@dataclass(frozen=True)
-class SmoothedSeries:
-    """Centered 7-day moving average of a RawSeries (3 days trimmed per side)."""
+class Series:
+    """Contiguous daily values for one label: raw counts, their 7-day average, or a window."""
 
     label: str
     start_date: date
@@ -94,8 +76,8 @@ class WindowSpec:
         return (self.end - self.begin).days + 1
 
 
-def parse_csv(text: str) -> list[RawSeries]:
-    """Parse CSV text into one RawSeries per numeric column.
+def parse_csv(text: str) -> list[Series]:
+    """Parse CSV text into one Series of raw counts per numeric column.
 
     Rejects a missing/duplicated header, malformed or non-contiguous
     dates, missing cells, and negative or non-finite values.
@@ -149,26 +131,26 @@ def parse_csv(text: str) -> list[RawSeries]:
     if not dates:
         raise ValueError("no data rows")
     return [
-        RawSeries(label, dates[0], np.array(values))
+        Series(label, dates[0], np.array(values))
         for label, values in zip(labels, columns)
     ]
 
 
-def moving_average_7(raw: RawSeries) -> SmoothedSeries:
+def moving_average_7(raw: Series) -> Series:
     """Centered 7-day moving average; output loses 3 days on each side."""
     if len(raw) < MOVING_AVERAGE_WINDOW:
         raise ValueError(
             f"need at least {MOVING_AVERAGE_WINDOW} days of data, got {len(raw)}"
         )
     sums = np.convolve(raw.values, np.ones(MOVING_AVERAGE_WINDOW), mode="valid")
-    return SmoothedSeries(
+    return Series(
         raw.label,
         raw.start_date + timedelta(days=_TRIM),
         sums / MOVING_AVERAGE_WINDOW,
     )
 
 
-def extract_window(smoothed: SmoothedSeries, window: WindowSpec) -> SmoothedSeries:
+def extract_window(smoothed: Series, window: WindowSpec) -> Series:
     """Restrict a smoothed series to the inclusive [begin, end] window."""
     if window.begin > window.end:
         raise ValueError(f"window begins {window.begin} after it ends {window.end}")
@@ -187,7 +169,7 @@ def extract_window(smoothed: SmoothedSeries, window: WindowSpec) -> SmoothedSeri
             f"moving average trims 3 days)"
         )
     lo = (window.begin - smoothed.start_date).days
-    return SmoothedSeries(
+    return Series(
         smoothed.label, window.begin, smoothed.values[lo : lo + window.days].copy()
     )
 
@@ -209,7 +191,7 @@ def check_window_values(values) -> np.ndarray:
     return values
 
 
-def histogram(smoothed: SmoothedSeries) -> HistogramDistribution:
+def histogram(smoothed: Series) -> HistogramDistribution:
     """Normalize a smoothed window into unit-sum daily fractions."""
     values = check_window_values(smoothed.values)
     return HistogramDistribution(values / values.sum(), smoothed.start_date, smoothed.label)

@@ -21,7 +21,7 @@ from qdfit.fitting import (
     solve_normal_equations,
 )
 from qdfit.ingest import (
-    RawSeries,
+    Series,
     WindowSpec,
     extract_window,
     histogram,
@@ -148,7 +148,7 @@ def test_criterion_6_synthetic_epidemic():
     assert analytic_mean == pytest.approx(16660000.0 / 62000.0, rel=1e-15)
 
     window_start = date(2021, 1, 1)
-    raw = RawSeries("confirmed", window_start - timedelta(days=3), counts)
+    raw = Series("confirmed", window_start - timedelta(days=3), counts)
     window = WindowSpec("synthetic", window_start, window_start + timedelta(days=n_days - 1))
     data = histogram(extract_window(moving_average_7(raw), window))
 
@@ -165,7 +165,7 @@ def test_criterion_7_moving_average_anomaly():
     pattern = FINLAND_PATTERN
     for lead in range(8):
         values = [0.0] * lead + pattern + [0.0] * (8 - lead)
-        raw = RawSeries("confirmed", date(2020, 11, 1), np.array(values))
+        raw = Series("confirmed", date(2020, 11, 1), np.array(values))
         smoothed = moving_average_7(raw)
         first = lead + len(pattern) - 1  # last raw index of the pattern
         for k, value in enumerate(smoothed.values):
@@ -186,12 +186,12 @@ def test_criterion_8_preset_integrity():
     assert italy.end == date(2021, 7, 4)
 
     required_start, required_end = date(2020, 2, 18), date(2021, 7, 7)
-    raw = RawSeries(
+    raw = Series(
         "confirmed", required_start, np.ones((required_end - required_start).days + 1)
     )
     assert len(extract_window(moving_average_7(raw), italy)) == 500
     with pytest.raises(ValueError):
-        extract_window(moving_average_7(RawSeries("c", required_start, raw.values[:-1])), italy)
+        extract_window(moving_average_7(Series("c", required_start, raw.values[:-1])), italy)
 
 
 @_criterion(9, "full 81-candidate fit of 500 days under 5 s, byte-identical reruns")
@@ -199,7 +199,7 @@ def test_criterion_9_performance_and_determinism():
     n_days = 500
     counts, _ = two_bump_counts(n_days)
     window_start = date(2021, 1, 1)
-    raw = RawSeries("confirmed", window_start - timedelta(days=3), counts)
+    raw = Series("confirmed", window_start - timedelta(days=3), counts)
     window = WindowSpec("synthetic", window_start, window_start + timedelta(days=n_days - 1))
     data = histogram(extract_window(moving_average_7(raw), window))
 

@@ -106,6 +106,36 @@ class TestFitCommand:
         assert (tmp_path / "confirmed.report.json").exists()
         assert (tmp_path / "confirmed.panel.svg").exists()
 
+    @pytest.mark.parametrize("label", ["../escaped", "sub/name", "a\\b", "", ".", ".."])
+    def test_label_that_names_no_plain_file_rejected(self, tmp_path, monkeypatch, capsys, label):
+        # default outputs are named after the label; it must not leave the
+        # working directory or name no file, and nothing may be written
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        csv_path = tmp_path / "data.csv"
+        _write_csv(csv_path, [label])
+        code = main(["fit", "--input", str(csv_path), "--column", label] + FIT_SPEED_FLAGS)
+        assert code == 1
+        assert "cannot name an output file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "work"]
+        assert list(work.iterdir()) == []
+
+    def test_explicit_outputs_take_any_label(self, tmp_path, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        csv_path = tmp_path / "data.csv"
+        start, n_days = _write_csv(csv_path, ["../escaped"])
+        json_out, svg_out = tmp_path / "r.json", tmp_path / "p.svg"
+        args = ["fit", "--input", str(csv_path), "--column", "../escaped",
+                "--begin", start.isoformat(), "--days", str(n_days)] + FIT_SPEED_FLAGS
+        assert main(args + ["--json-out", str(json_out)]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "work"]
+        assert main(args + ["--json-out", str(json_out), "--svg-out", str(svg_out)]) == 0
+        assert parse_report(json_out.read_text()).label == "../escaped"
+        assert svg_out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         csv_path = tmp_path / "data.csv"
         start, n_days = _write_csv(csv_path, ["confirmed"])
@@ -261,6 +291,34 @@ class TestCompareCommand:
         code = main(["compare", "--input", str(csv_path), "--columns", "confirmed"])
         assert code == 1
         assert ">=2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["../escaped", "a\\b", ".", ".."])
+    def test_label_that_names_no_plain_file_rejected(self, tmp_path, monkeypatch, capsys, label):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        csv_path = tmp_path / "data.csv"
+        _write_csv(csv_path, ["confirmed", label])
+        code = main(
+            ["compare", "--input", str(csv_path), "--columns", f"confirmed,{label}",
+             "--json-out", "out"] + FIT_SPEED_FLAGS
+        )
+        assert code == 1
+        assert "cannot name an output file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "work"]
+        assert list(work.iterdir()) == []
+
+    def test_repeated_column_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        csv_path = tmp_path / "data.csv"
+        _write_csv(csv_path, ["c", "d"])
+        code = main(
+            ["compare", "--input", str(csv_path), "--columns", "c,d,c", "--json-out", "out"]
+            + FIT_SPEED_FLAGS
+        )
+        assert code == 1
+        assert "repeats" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
     def test_identical_columns_identical_reports(self, tmp_path):
         csv_path = tmp_path / "data.csv"

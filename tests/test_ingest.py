@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdfit.ingest import (
-    RawSeries,
-    SmoothedSeries,
+    Series,
     WindowSpec,
     extract_window,
     histogram,
@@ -19,12 +18,13 @@ from qdfit.ingest import (
 )
 
 
-def to_csv(series: list[RawSeries]) -> str:
-    """Serialize aligned RawSeries back to CSV text (parse_csv round-trips it)."""
+def to_csv(series: list[Series]) -> str:
+    """Serialize aligned Series back to CSV text (parse_csv round-trips it)."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["date"] + [s.label for s in series])
-    for k, day in enumerate(series[0].dates()):
+    for k in range(len(series[0])):
+        day = series[0].start_date + timedelta(days=k)
         writer.writerow([day.isoformat()] + [repr(float(s.values[k])) for s in series])
     return out.getvalue()
 
@@ -88,8 +88,8 @@ class TestParseCsv:
 
     def test_round_trip(self):
         series = [
-            RawSeries("confirmed", date(2020, 5, 1), np.array([1.0, 2.5, 3.0])),
-            RawSeries("deaths", date(2020, 5, 1), np.array([0.0, 0.125, 7.0])),
+            Series("confirmed", date(2020, 5, 1), np.array([1.0, 2.5, 3.0])),
+            Series("deaths", date(2020, 5, 1), np.array([0.0, 0.125, 7.0])),
         ]
         parsed = parse_csv(to_csv(series))
         assert [s.label for s in parsed] == ["confirmed", "deaths"]
@@ -100,34 +100,34 @@ class TestParseCsv:
 
 class TestMovingAverage:
     def test_single_window_mean(self):
-        raw = RawSeries("x", date(2020, 11, 4), np.array(FINLAND_PATTERN + [100.0, 200.0]))
+        raw = Series("x", date(2020, 11, 4), np.array(FINLAND_PATTERN + [100.0, 200.0]))
         smoothed = moving_average_7(raw)
         assert len(smoothed) == 1
         assert smoothed.values[0] == pytest.approx(1460.0 / 7.0)
         assert smoothed.start_date == date(2020, 11, 7)
 
     def test_constant_series_unchanged(self):
-        raw = RawSeries("x", date(2020, 1, 1), np.full(20, 37.0))
+        raw = Series("x", date(2020, 1, 1), np.full(20, 37.0))
         smoothed = moving_average_7(raw)
         assert len(smoothed) == 14
         np.testing.assert_array_equal(smoothed.values, np.full(14, 37.0))
 
     def test_zero_day_anomaly_smoothed_away(self):
         values = [0.0] * 3 + FINLAND_PATTERN + [0.0] * 3
-        raw = RawSeries("x", date(2020, 11, 1), np.array(values))
+        raw = Series("x", date(2020, 11, 1), np.array(values))
         smoothed = moving_average_7(raw)
         assert (smoothed.values > 0.0).all()
 
     def test_needs_seven_days(self):
-        raw = RawSeries("x", date(2020, 1, 1), np.arange(6, dtype=float))
+        raw = Series("x", date(2020, 1, 1), np.arange(6, dtype=float))
         with pytest.raises(ValueError, match="at least 7"):
             moving_average_7(raw)
 
     def test_commutes_with_scaling(self):
         rng = np.random.default_rng(0)
         values = rng.random(30)
-        raw = RawSeries("x", date(2020, 1, 1), values)
-        scaled = RawSeries("x", date(2020, 1, 1), 4.0 * values)
+        raw = Series("x", date(2020, 1, 1), values)
+        scaled = Series("x", date(2020, 1, 1), 4.0 * values)
         np.testing.assert_allclose(
             moving_average_7(scaled).values,
             4.0 * moving_average_7(raw).values,
@@ -138,7 +138,7 @@ class TestMovingAverage:
 class TestExtractWindow:
     @staticmethod
     def _smoothed(start: date, days: int):
-        raw = RawSeries("x", start - timedelta(days=3), np.arange(days + 6, dtype=float) + 1.0)
+        raw = Series("x", start - timedelta(days=3), np.arange(days + 6, dtype=float) + 1.0)
         return moving_average_7(raw)
 
     def test_exact_window(self):
@@ -170,7 +170,7 @@ class TestExtractWindow:
         window = preset_window("Italy")
         assert window.begin == date(2020, 2, 21)
         assert window.end == date(2021, 7, 4)
-        raw = RawSeries(
+        raw = Series(
             "confirmed",
             date(2020, 2, 18),
             np.ones((date(2021, 7, 7) - date(2020, 2, 18)).days + 1),
@@ -179,20 +179,20 @@ class TestExtractWindow:
         assert len(out) == 500
         assert out.start_date == date(2020, 2, 21)
 
-        short_raw = RawSeries("confirmed", date(2020, 2, 19), raw.values[1:])
+        short_raw = Series("confirmed", date(2020, 2, 19), raw.values[1:])
         with pytest.raises(ValueError, match="short"):
             extract_window(moving_average_7(short_raw), window)
 
 
 class TestHistogram:
     def test_proportional(self):
-        smoothed = SmoothedSeries("x", date(2020, 1, 1), np.array([10.0, 30.0, 10.0]))
+        smoothed = Series("x", date(2020, 1, 1), np.array([10.0, 30.0, 10.0]))
         hist = histogram(smoothed)
         np.testing.assert_allclose(hist.f, [0.2, 0.6, 0.2], atol=1e-15)
         assert hist.start_date == date(2020, 1, 1)
 
     def test_zero_total_rejected(self):
-        smoothed = moving_average_7(RawSeries("x", date(2020, 1, 1), np.zeros(10)))
+        smoothed = moving_average_7(Series("x", date(2020, 1, 1), np.zeros(10)))
         with pytest.raises(ValueError, match="zero total"):
             histogram(smoothed)
 
@@ -201,7 +201,7 @@ class TestHistogram:
         [([10.0, -5.0, 30.0], "non-negative"), ([10.0, float("nan"), 30.0], "finite")],
     )
     def test_negative_and_non_finite_rejected(self, values, match):
-        smoothed = SmoothedSeries("x", date(2020, 1, 1), np.array(values))
+        smoothed = Series("x", date(2020, 1, 1), np.array(values))
         with pytest.raises(ValueError, match=match):
             histogram(smoothed)
 
@@ -213,11 +213,11 @@ class TestHistogram:
         ).filter(lambda vs: sum(vs) > 1.0)
     )
     def test_unit_sum_and_scale_invariance(self, values):
-        raw = RawSeries("x", date(2020, 1, 1), np.asarray(values))
+        raw = Series("x", date(2020, 1, 1), np.asarray(values))
         hist = histogram(moving_average_7(raw))
         assert hist.f.sum() == pytest.approx(1.0, abs=1e-12)
         assert (hist.f >= 0.0).all()
-        scaled = RawSeries("x", date(2020, 1, 1), 7.5 * np.asarray(values))
+        scaled = Series("x", date(2020, 1, 1), 7.5 * np.asarray(values))
         np.testing.assert_allclose(
             histogram(moving_average_7(scaled)).f, hist.f, rtol=1e-12, atol=1e-15
         )

@@ -17,6 +17,12 @@ from qdfit.report import (
 )
 
 WINDOW = WindowSpec("Testland", date(2020, 3, 1), date(2020, 3, 10))
+MARKUP_LABEL = "a&b <c>"
+
+
+def _svg_texts(svg: str) -> list[str]:
+    """Parse an SVG document and return the content of its text elements."""
+    return [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
 
 
 def _report(**overrides) -> FitReport:
@@ -115,6 +121,10 @@ class TestPanelSvg:
         with pytest.raises(ValueError):
             emit_panel_svg(np.ones(5), np.ones(6), "x")
 
+    def test_label_markup_is_escaped(self):
+        texts = _svg_texts(emit_panel_svg(np.ones(5), np.ones(5), MARKUP_LABEL))
+        assert f"{MARKUP_LABEL}: histogram and quasi-distribution fit" in texts
+
     def test_deterministic(self):
         args = (np.linspace(0, 1, 20), np.linspace(1, 0, 20), "deaths", 0.5, 3.25)
         assert emit_panel_svg(*args) == emit_panel_svg(*args)
@@ -142,6 +152,10 @@ class TestOverlaySvg:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             emit_overlay_svg([("a", np.ones(5)), ("b", np.ones(6))])
+
+    def test_label_markup_is_escaped(self):
+        texts = _svg_texts(emit_overlay_svg([(MARKUP_LABEL, np.ones(5)), ("b", np.ones(5))]))
+        assert MARKUP_LABEL in texts and "b" in texts
 
     def test_identical_curves_coincide(self):
         values = np.linspace(0.0, 1.0, 9)

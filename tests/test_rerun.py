@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import qdfit
 from qdfit.fitting import fit
-from qdfit.ingest import RawSeries, WindowSpec, extract_window, histogram, moving_average_7
+from qdfit.ingest import Series, WindowSpec, extract_window, histogram, moving_average_7
 from qdfit.quasidist import quasi_distribution
 from qdfit.report import build_report, emit_json, emit_panel_svg
 
@@ -39,7 +39,7 @@ def _counts(n_days, waves):
 
 
 def _outputs(n_days, waves):
-    raw = RawSeries("confirmed", START - timedelta(days=3), _counts(n_days, waves))
+    raw = Series("confirmed", START - timedelta(days=3), _counts(n_days, waves))
     window = WindowSpec("custom", START, START + timedelta(days=n_days - 1))
     data = histogram(extract_window(moving_average_7(raw), window))
     result = fit(data)
