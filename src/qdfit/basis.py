@@ -15,8 +15,8 @@ There is one evaluator: `_basis_values` runs the Cox-de Boor recurrence
 over the explicit knot vector, vectorized over all parameters, and
 `quasi_basis_matrix` and `piecewise_basis_matrix` (once on both segments'
 parameters) scatter its nonzeros into design rows.  The fit's design
-matrix and the `basis` CLI dump go through it.  Curve evaluation uses the
-pp-form (piecewise power basis) of the same functions:
+matrix goes through it.  Curve evaluation uses the pp-form (piecewise
+power basis) of the same functions:
 `pp_table` derives it from `quasi_basis_matrix` on first use, `pp_curve`
 folds a curve's controls into it, `piecewise_spans` locates parameters by
 the same segment and span rules, and `pp_eval` evaluates by Horner's rule.

@@ -1,10 +1,11 @@
-"""Command-line interface: fit one series, compare several, or dump the basis.
+"""Command-line interface: fit one series or compare several.
 
-Exit status is 0 iff every requested output file was written.  A domain error
-exits 1 with a one-line diagnostic on stderr and writes no file (`compare`
-fits every column before it writes anything): the CLI checks the flags and
-files it alone reads (missing file or column, a repeated compare column, a
-label that names an output file but is no plain file name), and passes on
+Exit status is 0 iff every output file was written.  Exit 1 prints a one-line
+diagnostic on stderr and writes no file, also after a write error: a command
+fits every column first, and replaces its targets only after every output is
+written beside them.  The CLI checks the flags and files it alone reads
+(missing file or column, a repeated compare column, a label that names an
+output file but is no plain file name, two outputs on one file), and passes on
 the library's message for a rule on the fit's input (window under 29 days,
 all-zero window, omega grid, prominence, no usable segmentation point).
 """
@@ -12,25 +13,17 @@ all-zero window, omega grid, prominence, no usable segmentation point).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import contextlib
 import json
+import os
 import sys
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .basis import NUM_PIECEWISE_BASIS, NUM_QUASI_BASIS, piecewise_basis_matrix, quasi_basis_matrix
 from .fitting import DEFAULT_OMEGA_MAX, DEFAULT_OMEGA_MIN, DEFAULT_OMEGA_STEP, default_omega_grid, fit
-from .ingest import (
-    WindowSpec,
-    extract_window,
-    histogram,
-    moving_average_7,
-    parse_csv,
-    preset_window,
-)
+from .ingest import WindowSpec, extract_window, histogram, moving_average_7, parse_csv, preset_window
 from .quasidist import QuasiDistribution, quasi_distribution
 from .report import FitReport, build_report, emit_json, emit_overlay_svg, emit_panel_svg
 
@@ -68,9 +61,7 @@ def _fit_columns(
         data = histogram(extract_window(smoothed, span))
         result = fit(data, omega_grid)
         quasi = quasi_distribution(result.discretized, args.prominence)
-        report = build_report(
-            label, span, result.omega, result.mse, quasi, result.omega_grid_scores
-        )
+        report = build_report(label, span, result.omega, result.mse, quasi, result.omega_grid_scores)
         fitted.append((data.f, quasi, report))
     return fitted
 
@@ -88,6 +79,34 @@ def _summary_line(report: FitReport) -> str:
     )
 
 
+def _write_outputs(outputs: list[tuple[Path, str]]) -> None:
+    """Write every (path, text) output or none.
+
+    Two outputs on one file, or an output path that is a directory, fail first.
+    Each text goes to a temporary file beside its target, and the files replace
+    their targets once all are written; an error removes the temporary files.
+    """
+    reals = [os.path.realpath(path) for path, _ in outputs]
+    for k, (path, _) in enumerate(outputs):
+        if reals[k] in reals[:k]:
+            raise ValueError(f"two outputs name one file: {path}")
+        if os.path.isdir(reals[k]):
+            raise ValueError(f"output path is a directory: {path}")
+    staged: list[str] = []
+    try:
+        for real, (path, text) in zip(reals, outputs):
+            with open(f"{real}.{os.getpid()}.tmp", "x", encoding="utf-8") as out:
+                staged.append(out.name)
+                out.write(text)
+        for temp, real, (path, _) in zip(staged, reals, outputs):
+            os.replace(temp, real)
+    except OSError as exc:
+        for temp in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temp)
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
 def _cmd_fit(args: argparse.Namespace) -> int:
     label = args.column
     if not (args.json_out and args.svg_out):
@@ -96,11 +115,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
     json_path = Path(args.json_out or f"{label}.report.json")
     svg_path = Path(args.svg_out or f"{label}.panel.svg")
-    json_path.write_text(emit_json(report), encoding="utf-8")
-    svg_path.write_text(
-        emit_panel_svg(f, quasi.values, label, report.omega, report.variance),
-        encoding="utf-8",
-    )
+    _write_outputs([
+        (json_path, emit_json(report)),
+        (svg_path, emit_panel_svg(f, quasi.values, label, report.omega, report.variance)),
+    ])
     print(_summary_line(report))
     print(f"wrote {json_path} and {svg_path}")
     return 0
@@ -117,51 +135,27 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     fitted = _fit_columns(args, columns)
 
     out_dir = Path(args.json_out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     svg_path = Path(args.svg_out or "overlay.svg")
-    curves: list[tuple[str, np.ndarray]] = []
-    comparison: list[dict] = []
-    for label, (_, quasi, report) in zip(columns, fitted):
-        report_path = out_dir / f"{label}.report.json"
-        report_path.write_text(emit_json(report), encoding="utf-8")
-        curves.append((label, quasi.values))
-        comparison.append(
-            {
-                "label": label,
-                "peaks": [{"day": p.day, "height": p.height} for p in report.peaks],
-            }
-        )
-        print(_summary_line(report))
-
-    svg_path.write_text(emit_overlay_svg(curves), encoding="utf-8")
     comparison_path = out_dir / "comparison.json"
-    comparison_path.write_text(
-        json.dumps({"columns": comparison}, indent=2) + "\n", encoding="utf-8"
-    )
+    reports = [report for _, _, report in fitted]
+    peaks = [{"label": r.label, "peaks": [{"day": p.day, "height": p.height} for p in r.peaks]}
+             for r in reports]
+    outputs = [(out_dir / f"{r.label}.report.json", emit_json(r)) for r in reports] + [
+        (svg_path, emit_overlay_svg([(r.label, quasi.values) for _, quasi, r in fitted])),
+        (comparison_path, json.dumps({"columns": peaks}, indent=2) + "\n"),
+    ]
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_outputs(outputs)
+    except (ValueError, OSError):
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
+    for report in reports:
+        print(_summary_line(report))
     print(f"wrote {svg_path}, {comparison_path}, and {len(columns)} reports in {out_dir}")
-    return 0
-
-
-def _cmd_basis(args: argparse.Namespace) -> int:
-    if args.samples < 2:
-        raise ValueError("need at least 2 sample rows")
-    ts = np.linspace(0.0, 1.0, args.samples)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    if args.omega is None:
-        writer.writerow(["t"] + [f"N{i}" for i in range(NUM_QUASI_BASIS)])
-        rows = quasi_basis_matrix(ts)
-    else:
-        writer.writerow(["t"] + [f"N{i}" for i in range(NUM_PIECEWISE_BASIS)])
-        rows = piecewise_basis_matrix(ts, args.omega)
-    for t, row in zip(ts, rows):
-        writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
-    text = out.getvalue()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -207,13 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--columns", required=True, help="comma-separated CSV columns")
     cmp_p.set_defaults(func=_cmd_compare)
 
-    basis_p = subs.add_parser("basis", help="dump basis-function samples as CSV")
-    basis_p.add_argument("--samples", type=int, default=101, help="number of t samples")
-    basis_p.add_argument(
-        "--omega", type=float, default=None, help="dump the 29-function two-piece basis"
-    )
-    basis_p.add_argument("--out", help="output CSV path (default: stdout)")
-    basis_p.set_defaults(func=_cmd_basis)
     return parser
 
 

@@ -285,7 +285,7 @@ def default_omega_grid(
     step: float = DEFAULT_OMEGA_STEP,
 ) -> np.ndarray:
     """Uniform candidate grid, inclusive of both ends (default 0.10..0.90 by 0.01)."""
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError("omega grid step must be positive")
     if not (0.0 < lo <= hi < 1.0):
         raise ValueError("omega grid bounds must satisfy 0 < lo <= hi < 1")

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import qdfit
-from qdfit.basis import piecewise_basis_matrix
 from qdfit.cli import main
 from qdfit.report import parse_report
 
@@ -358,48 +357,57 @@ class TestCompareCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
-class TestBasisCommand:
-    def test_quasi_table_shape(self, tmp_path):
-        out = tmp_path / "basis.csv"
-        assert main(["basis", "--samples", "101", "--out", str(out)]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 102  # header + 101 sample rows
-        assert lines[0].split(",") == ["t"] + [f"N{i}" for i in range(15)]
-        for line in lines[1:]:
-            cells = [float(c) for c in line.split(",")]
-            assert len(cells) == 16
-            assert sum(cells[1:]) == pytest.approx(1.0, abs=1e-12)
+def _snapshot(root):
+    """Every path under root, with its bytes if it is a file."""
+    return {str(p.relative_to(root)): p.is_file() and p.read_bytes() for p in root.rglob("*")}
 
-    def test_piecewise_table_shape(self, tmp_path):
-        out = tmp_path / "basis.csv"
-        assert main(["basis", "--samples", "11", "--omega", "0.4", "--out", str(out)]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 12
-        assert len(lines[0].split(",")) == 30
-        for line in lines[1:]:
-            cells = [float(c) for c in line.split(",")]
-            assert sum(cells[1:]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_piecewise_dump_is_the_fit_evaluator(self, tmp_path):
-        out = tmp_path / "basis.csv"
-        assert main(["basis", "--samples", "11", "--omega", "0.4", "--out", str(out)]) == 0
-        rows = [[float(c) for c in line.split(",")] for line in out.read_text().splitlines()[1:]]
-        ts = np.linspace(0.0, 1.0, 11)
-        np.testing.assert_array_equal(np.array(rows), np.column_stack([ts, piecewise_basis_matrix(ts, 0.4)]))
+class TestOutputs:
+    @pytest.mark.parametrize(
+        "command, outputs, message",
+        [
+            ("fit", ["--json-out", "x", "--svg-out", "x"], "two outputs name one file: x"),
+            ("fit", ["--json-out", "x", "--svg-out", "./x"], "two outputs name one file: x"),
+            ("compare", ["--json-out", "rep", "--svg-out", "rep/confirmed.report.json"], "two outputs"),
+            ("compare", ["--json-out", "rep", "--svg-out", "rep/comparison.json"], "two outputs"),
+            ("fit", ["--json-out", "r.json", "--svg-out", "nodir/p.svg"], "No such file or directory: 'nodir/p.svg'"),
+            ("fit", ["--svg-out", "d"], "output path is a directory: d"),
+            ("compare", ["--json-out", "newdir", "--svg-out", "nodir/o.svg"], "'nodir/o.svg'"),
+            ("compare", ["--json-out", "newdir/sub", "--svg-out", "nodir/o.svg"], "'nodir/o.svg'"),
+        ],
+    )
+    def test_failed_write_changes_nothing(self, tmp_path, monkeypatch, capsys, command, outputs, message):
+        # exit 1 means no file was written, replaced or left behind, and no
+        # directory was created, whichever output fails
+        monkeypatch.chdir(tmp_path)
+        _write_csv(tmp_path / "data.csv", ["confirmed", "recovered"])
+        (tmp_path / "r.json").write_text("an older report\n", encoding="utf-8")
+        (tmp_path / "d").mkdir()
+        columns = ["--column", "confirmed"] if command == "fit" else ["--columns", "confirmed,recovered"]
+        before = _snapshot(tmp_path)
+        assert main([command, "--input", "data.csv", *columns, *outputs] + FIT_SPEED_FLAGS) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and ".tmp" not in captured.err
+        assert captured.out == ""
+        assert _snapshot(tmp_path) == before
 
-    def test_stdout_default(self, capsys):
-        assert main(["basis", "--samples", "3"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("t,N0")
-        assert len(out.strip().splitlines()) == 4
-
-    def test_invalid_omega(self, capsys):
-        assert main(["basis", "--samples", "5", "--omega", "1.5"]) == 1
-        assert "segmentation point" in capsys.readouterr().err
-
-    def test_too_few_samples(self, capsys):
-        assert main(["basis", "--samples", "1"]) == 1
-        assert "at least 2" in capsys.readouterr().err
+    def test_write_replaces_outputs_and_leaves_no_temporary_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        _write_csv(tmp_path / "data.csv", ["confirmed", "recovered"])
+        (tmp_path / "o.svg").write_text("an older overlay\n", encoding="utf-8")
+        code = main(
+            ["compare", "--input", "data.csv", "--columns", "confirmed,recovered",
+             "--json-out", "new/sub", "--svg-out", "o.svg"] + FIT_SPEED_FLAGS
+        )
+        assert code == 0
+        assert sorted(_snapshot(tmp_path)) == [
+            "data.csv", "new", "new/sub", "new/sub/comparison.json",
+            "new/sub/confirmed.report.json", "new/sub/recovered.report.json", "o.svg",
+        ]
+        assert (tmp_path / "o.svg").read_text().startswith("<svg")
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:2]] == ["confirmed", "recovered"]
+        assert lines[2:] == ["wrote o.svg, new/sub/comparison.json, and 2 reports in new/sub"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -564,6 +564,8 @@ class TestFit:
         np.testing.assert_array_equal(grid, np.arange(10, 91) / 100)
         with pytest.raises(ValueError):
             default_omega_grid(step=0.0)
+        with pytest.raises(ValueError, match="step must be positive"):
+            default_omega_grid(step=float("nan"))
         with pytest.raises(ValueError):
             default_omega_grid(0.0, 0.9)
 
