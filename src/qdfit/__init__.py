@@ -1,10 +1,9 @@
 """Quasi-distribution fitting of daily-count series with piecewise B-splines.
 
 The package root exports the pipeline stages a caller strings together and
-their types.  The stages' internals (design matrix, solve, sampling,
-discretization, moments, peak scan, basis evaluation) stay importable from
-their submodules `qdfit.basis`, `qdfit.fitting`, `qdfit.quasidist` and
-`qdfit.report`.
+their types.  The stages' internals (design matrix, solve, discretization,
+moments, peak scan, basis evaluation) stay importable from their submodules
+`qdfit.basis`, `qdfit.fitting`, `qdfit.quasidist` and `qdfit.report`.
 """
 
 from .fitting import (

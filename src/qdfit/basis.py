@@ -16,21 +16,20 @@ over the explicit knot vector, vectorized over all parameters, and
 `quasi_basis_matrix` and `piecewise_basis_matrix` (once on both segments'
 parameters) scatter its nonzeros into design rows.  The fit's design
 matrix goes through it.  Curve evaluation uses the pp-form (piecewise
-power basis) of the same functions:
-`pp_table` derives it from `quasi_basis_matrix` on first use, `pp_curve`
-folds a curve's controls into it, `piecewise_spans` locates parameters by
-the same segment and span rules, and `pp_eval` evaluates by Horner's rule.
-The test suite checks both forms against the explicit piecewise
-polynomials, which live with the tests.
+power basis) of the same functions: `pp_table` derives it from
+`quasi_basis_matrix` on first use, `pp_curve` folds a curve's controls
+into it, `pp_derivative` differentiates that, `piecewise_spans` locates
+parameters by the same segment and span rules, and `pp_eval` evaluates by
+Horner's rule.  The test suite checks both forms against the explicit
+piecewise polynomials, which live with the tests.
 
 `piecewise_basis_matrix`, `piecewise_spans` and `pp_curve` also take a
 stack of g curves (a 1-D array of omegas, controls of shape (g, 29, d)),
 so that a fit scores many segmentation points per call.  Every row is
 computed exactly as for one curve, so the stacked results equal the
-per-curve ones bit for bit.  `piecewise_basis_matrix`, `piecewise_spans`
-and `pp_eval` write into arrays the caller passes as `out` (and `scratch`
-for intermediate values), so that a fit can reuse one set of work arrays
-for all its chunks; without them they allocate their results.
+per-curve ones bit for bit.  `piecewise_basis_matrix` writes into an array
+the caller passes as `out`, so that a fit can reuse one design stack for
+all its stacks of candidates.
 
 Convention: basis supports are half-open on the right, except that the
 span ending at the domain end is closed there, so the last basis function
@@ -68,22 +67,19 @@ def _check_params(ts: np.ndarray) -> np.ndarray:
     return ts
 
 
-def _knot_spans(
-    ts: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def _knot_spans(ts: np.ndarray) -> np.ndarray:
     """Span s = 0..9 holding each t, the knot span [s/10, (s+1)/10); t = 1
     belongs to span 9.
 
     It is min(int(10 t), 9), less one where 10 t rounded up onto the next
     knot (the double just below 0.9 is one such t), which equals the knot
     search `searchsorted(_KNOTS, t, "right") - 1 - DEGREE`, clipped to
-    0..9, for every t in [0, 1].  `out` (intp) receives the spans and
-    `scratch` (float), if given, the knots they start at.
+    0..9, for every t in [0, 1].
     """
-    spans = np.empty(ts.shape, dtype=np.intp) if out is None else out
+    spans = np.empty(ts.shape, dtype=np.intp)
     np.multiply(ts, NUM_SPANS, out=spans, casting="unsafe")  # truncates: t >= 0
     np.minimum(spans, NUM_SPANS - 1, out=spans)
-    spans -= ts < np.take(_SPAN_STARTS, spans, out=scratch, mode="clip")
+    spans -= ts < _SPAN_STARTS[spans]
     return spans
 
 
@@ -171,24 +167,18 @@ def piecewise_basis_matrix(ts: np.ndarray, omega, out: np.ndarray | None = None)
     return _scatter_rows(vals, spans, design)
 
 
-def _segment_params(
-    ts: np.ndarray,
-    omega: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _segment_params(ts: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split parameters at omega: t < omega goes to the left segment.
 
     Returns the right-segment mask and each t's segment parameter tau,
     t/omega on the left and (t - omega)/(1 - omega) on the right, with
     one row per omega when omega is a 1-D array.  Both sides are computed
-    everywhere and selected by the mask: tau is written into `out` and the
-    right side into `scratch`, each where given.
+    everywhere and selected by the mask.
     """
     omega = omega[..., None]
     right = ts >= omega  # is ~(ts < omega): parameters are checked, never NaN
-    tau = np.divide(ts, omega, out=out)
-    right_tau = np.subtract(ts, omega, out=scratch)
+    tau = ts / omega
+    right_tau = ts - omega
     right_tau /= 1.0 - omega
     np.copyto(tau, right_tau, where=right)
     return right, tau
@@ -219,12 +209,7 @@ def pp_table() -> np.ndarray:
     return table
 
 
-def piecewise_spans(
-    ts: np.ndarray,
-    omega,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-    scratch: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def piecewise_spans(ts: np.ndarray, omega) -> tuple[np.ndarray, np.ndarray]:
     """Locate parameters for pp-form evaluation of the two-piece family.
 
     Returns, per t, the span index (0..9 on the left segment, 10..19 on the
@@ -232,16 +217,12 @@ def piecewise_spans(
     the segment's parameter from the split `piecewise_basis_matrix` uses.
     For a 1-D array of g omegas both have shape (g, len(ts)), and row i's
     spans are offset by 20 i: they index the stack `pp_curve` returns for
-    g controls.  `out`, if given, is a pair of arrays (intp, float) of that
-    shape that the spans and u are written into; `scratch`, a float array
-    of that shape, holds intermediate values.  Either is allocated where
-    it is None.
+    g controls.
     """
     omega = _check_omega(omega)
     ts = _check_params(ts)
-    spans, us = (None, None) if out is None else out
-    right, us = _segment_params(ts, omega, us, scratch)
-    spans = _knot_spans(us, spans, scratch)
+    right, us = _segment_params(ts, omega)
+    spans = _knot_spans(us)
     us *= NUM_SPANS
     us -= spans
     np.add(spans, NUM_SPANS, out=spans, where=right)
@@ -267,27 +248,29 @@ def pp_curve(controls: np.ndarray) -> np.ndarray:
     return np.concatenate([left, right], axis=-3).reshape(-1, ORDER, controls.shape[-1])
 
 
-def pp_eval(
-    polys: np.ndarray,
-    spans: np.ndarray,
-    us: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Evaluate `pp_curve` coefficients at `piecewise_spans` output by Horner's rule.
+def pp_derivative(polys: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients of d/du of `pp_curve` (or `pp_derivative`) output.
 
-    The result has shape spans.shape + polys.shape[2:].  `out`, if given,
-    is an array of that shape that the result is written into, and
-    `scratch`, of the same shape, receives each power's gathered
-    coefficients; either is allocated where it is None.
+    Entry [span, p] is (p + 1) times the input's u**(p + 1) coefficient, so
+    the result has one power fewer.  By the chain rule the t-derivative is
+    10/omega times it on the left segment and 10/(1 - omega) on the right.
+    """
+    powers = np.arange(1, polys.shape[1]).reshape((-1,) + (1,) * (polys.ndim - 2))
+    return polys[:, 1:] * powers
+
+
+def pp_eval(polys: np.ndarray, spans: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Evaluate `pp_curve` (or `pp_derivative`) coefficients at
+    `piecewise_spans` output by Horner's rule.
+
+    The result has shape spans.shape + polys.shape[2:].  Each point's
+    coefficients are gathered once, in one row of all powers.
     """
     us = us.reshape(us.shape + (1,) * (polys.ndim - 2))
-    by_power = np.moveaxis(polys, 1, 0)
-    # mode="clip" gathers straight into `out` (mode="raise" would copy it);
-    # spans from `piecewise_spans` are in range
-    out = np.take(by_power[DEGREE], spans, axis=0, out=out, mode="clip")
-    for power in range(DEGREE - 1, -1, -1):
+    # np.take gathers whole rows; polys[spans] is four times slower here
+    by_power = np.moveaxis(np.take(polys, spans, axis=0), spans.ndim, 0)
+    out = by_power[-1].copy()
+    for coeffs in by_power[-2::-1]:
         out *= us
-        scratch = np.take(by_power[power], spans, axis=0, out=scratch, mode="clip")
-        out += scratch
+        out += coeffs
     return out

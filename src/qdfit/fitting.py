@@ -1,32 +1,29 @@
 """Least-squares fitting of a two-piece quintic B-spline curve to day counts.
 
-`fit` turns the data into points and chord-length parameters once, then
-scores the segmentation-point candidates omega of the grid in two stages,
-each step stacked over several candidates:
+`fit` turns the data into points and chord-length parameters t_k once,
+then scores the segmentation-point candidates omega of the grid in one
+loop over stacks of candidates, each step stacked over a stack:
 
-    data (k, f_k)  ->  chord-length parameters t_k              (once)
-    stage 1, a stack of candidates at a time:
-                   ->  design matrices  phi[g, k, i] = N_i(t_k; omega_g)
-                   ->  normal equations  (phi' phi + ridge) C = phi' P,
-                       one Cholesky call per stack
-                   =   the (grid, 29, 2) control points of the whole grid
-    stage 2, a chunk of candidates at a time, in grid order:
-                   ->  x(t) of the fitted curves at the uniform samples, in pp-form
-                   ->  discretization back onto the day grid, evaluating
-                       y(t) only at the samples it uses
-                   ->  mean square error against f_k, per candidate
+    gate (a)  ->  design matrices  phi[g, k, i] = N_i(t_k; omega_g)
+              ->  normal equations  phi' phi C = phi' P, one Cholesky call
+              ->  gate (b)  ->  day values  ->  mean square error against f_k
 
-and keeps the best candidate seen so far.  One byte budget, WORK_BYTES,
-sizes both: a stack holds as many candidates as its design rows fit in it
-at DESIGN_ROW_BYTES each, a chunk as many as its curve samples fit at
-SAMPLE_BYTES each.  Stage 1 needs N rows per candidate and stage 2 20 N
-samples, so stacks hold more candidates than chunks.  `fit` allocates one
-work buffer per fit, and the design stack of stage 1 and the four sampling
-arrays of stage 2 are views of it, so that their memory is not given back
-to the OS and faulted in again between stacks or chunks.  Every stacked
-step is elementwise or runs the same BLAS/LAPACK routine per candidate, so
-the results equal those of fitting one candidate at a time, bit for bit.
-`fit_fixed_omega` is `fit` on a one-candidate grid.
+and keeps the best candidate seen so far.  Gate (a) admits a candidate
+whose design has full column rank, gate (b) one whose x controls strictly
+increase; a candidate that fails either gets an infinite score (`null` in
+the report).  Day k takes y(t*_k) where x(t*_k) = k, found by a fixed
+number of Newton steps on the pp-form, so that reruns are byte-identical.
+With N = 29 values the design is square: every admissible candidate
+interpolates the data and scores at rounding level, so rounding picks the
+winner, and every choice gives the same day values.
+
+A stack holds as many candidates as their design rows fit in WORK_BYTES at
+DESIGN_ROW_BYTES each, and `fit` allocates the design stack once per fit,
+so that its memory is not given back to the OS and faulted in again
+between stacks.  Every stacked step is elementwise or runs the same
+BLAS/LAPACK routine per candidate, so the results equal those of fitting
+one candidate at a time, bit for bit.  `fit_fixed_omega` is `fit` on a
+one-candidate grid.
 """
 
 from __future__ import annotations
@@ -38,50 +35,53 @@ from typing import Sequence
 import numpy as np
 
 from .basis import (
+    DEGREE,
     NUM_PIECEWISE_BASIS,
+    NUM_QUASI_BASIS,
+    NUM_SPANS,
     _check_omega,
+    _knot_spans,
+    _segment_params,
     piecewise_basis_matrix,
     piecewise_spans,
     pp_curve,
+    pp_derivative,
     pp_eval,
 )
 from .ingest import check_window_values
-
-# ridge is RIDGE_SCALE * trace(phi'phi)/29; rescues candidates where one
-# segment holds few points without perturbing well-posed solves
-RIDGE_SCALE = 1e-10
 
 DEFAULT_OMEGA_MIN = 0.10
 DEFAULT_OMEGA_MAX = 0.90
 DEFAULT_OMEGA_STEP = 0.01
 
-# dense samples per day cell; keeps the max-below discretization rule stable
+# samples per day of the max-below rule of `sample_curve` and `discretize`,
+# which `fit` no longer uses; `fit` ignores its n_samples.  The benchmark
+# still binds these names; they go with its next change (ROADMAP item 3)
 SAMPLES_PER_DAY = 20
 
-# bytes of work memory a fit may take for its stacked steps; the design
-# stack of stage 1 and the sampling arrays of stage 2 are views of one
-# buffer of at most this size (unless one candidate alone needs more),
-# held for the whole fit.  Larger chunks grew the process's peak RSS on the
-# lib-fit-windows benchmark workload (by 2% at twice this and 6% at four
-# times, measured before the work buffer)
+# Newton steps per day.  From the chord-length parameters two steps reach
+# |x(t) - k| <= 1e-12 days on the golden corpus and the benchmark windows;
+# fits to random noise need the third
+NEWTON_STEPS = 3
+
+# bytes of work memory a fit may take for its stacked steps: a stack holds
+# as many candidates as their design rows fit in it (at least one), and the
+# design stack is allocated once per fit.  Larger stacks grew the process's
+# peak RSS on the lib-fit-windows benchmark workload (by 2% at twice this
+# and 6% at four times, measured before the design stack was reused)
 WORK_BYTES = 2**19
 
-# stage 1 charges a design row 63 floats: its 29 and the transient work of
-# assembling and solving it.  By tracemalloc that work peaks at 30.5 floats
-# a row in the basis evaluator (its Cox-de Boor block is 23 of them), plus
-# the row's share of the stack's Gram matrices and factors: under one
-# float from 120 days on, 34 at 29 days
+# a design row is charged 63 floats: its 29 and the transient work on it.
+# By tracemalloc that work peaks at 30.5 floats a row in the basis
+# evaluator (its Cox-de Boor block is 23 of them; gate (a) takes 7.5, the
+# day values 15.4), plus the row's share of the stack's Gram matrices and
+# factors: under one float from 120 days on, 34 at 29 days
 DESIGN_ROW_BYTES = 8 * 63
-
-# stage 2 charges a curve sample its four work values: span (intp), u, x
-# and a Horner scratch
-_SAMPLING_DTYPES = (np.intp, np.float64, np.float64, np.float64)
-SAMPLE_BYTES = sum(np.dtype(dtype).itemsize for dtype in _SAMPLING_DTYPES)
 
 
 class IllConditionedError(RuntimeError):
     """Normal equations could not be factorized for one omega candidate,
-    or, raised by `fit`, for every candidate on the grid."""
+    or, raised by `fit`, no candidate on the grid could be scored."""
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,35 @@ def assemble_design(params: np.ndarray, omega, out: np.ndarray | None = None) ->
     return piecewise_basis_matrix(np.asarray(params, dtype=float), omega, out)
 
 
+def _full_rank(params: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """Gate (a): which omegas give `assemble_design(params, omega)` full
+    column rank, for increasing params; one bool per omega.
+
+    Schoenberg-Whitney (de Boor, A Practical Guide to Splines, ch. XIII):
+    full rank if and only if N_0..N_28 can take, in order, strictly
+    increasing parameters at which each is nonzero.  By the design's own
+    segment and span rule, row k is nonzero in the columns lo_k..hi_k: the
+    six functions of t_k's span (from 14 on the right segment), one fewer
+    where the segment parameter falls on the span's knot, and only the
+    clamped one at t = 0 and t = omega (at t = 1 only column 28 is, but
+    only N_28 may take the last parameter anyway).  Both bounds increase
+    with k, so N_i is nonzero at the indices [a_i, b_i) found by binary
+    search, and the greedy
+    scan gives it k_i = max(k_{i-1} + 1, a_i), whose unrolled form is
+    k_i = i + max_{j<=i} (a_j - j).  Full rank is every k_i < b_i.
+    """
+    right, tau = _segment_params(params, omegas)
+    spans = _knot_spans(tau)
+    at_knot = tau == spans / NUM_SPANS  # the knot s/10 that opens span s, exactly
+    lo = spans + (NUM_QUASI_BASIS - 1) * right
+    hi = lo + DEGREE - at_knot * np.where(spans == 0, DEGREE, 1)
+    index = np.arange(NUM_PIECEWISE_BASIS)
+    first = np.stack([np.searchsorted(row, index, side="left") for row in hi])  # a_i
+    last = np.stack([np.searchsorted(row, index, side="right") for row in lo])  # b_i
+    taken = np.maximum.accumulate(first - index, axis=1) + index
+    return np.all(taken < last, axis=1)
+
+
 def _cholesky(gram: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a Gram matrix, or of each of a stack of them."""
     try:
@@ -165,7 +194,7 @@ def _cholesky(gram: np.ndarray) -> np.ndarray:
 
 
 def solve_normal_equations(design: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Solve (phi'phi + ridge I) C = phi'P for the 29 control points.
+    """Solve phi'phi C = phi'P for the 29 control points.
 
     Both planar coordinates are solved against the same symmetric
     factorization.  For one (N, 29) design it returns (29, 2) and raises
@@ -184,10 +213,6 @@ def solve_normal_equations(design: np.ndarray, points: np.ndarray) -> np.ndarray
     design_t = np.swapaxes(design, -1, -2)
     gram = design_t @ design
     rhs = design_t @ points
-    size = gram.shape[-1]
-    ridge = RIDGE_SCALE * np.trace(gram, axis1=-2, axis2=-1) / size
-    diagonal = np.arange(size)
-    gram[..., diagonal, diagonal] += np.asarray(ridge)[..., None]
     failed = None
     try:
         lower = _cholesky(gram)  # LAPACK runs on each matrix of a stack in turn
@@ -201,7 +226,7 @@ def solve_normal_equations(design: np.ndarray, points: np.ndarray) -> np.ndarray
             try:
                 lower[i] = _cholesky(one)
             except IllConditionedError:
-                lower[i] = np.identity(size)
+                lower[i] = np.identity(len(one))
                 failed[i] = True
     controls = np.linalg.solve(np.swapaxes(lower, -1, -2), np.linalg.solve(lower, rhs))
     if failed is not None:
@@ -209,64 +234,75 @@ def solve_normal_equations(design: np.ndarray, points: np.ndarray) -> np.ndarray
     return controls
 
 
-def _sample_params(n: int) -> np.ndarray:
+def sample_curve(curve: PiecewiseCurve, n: int) -> np.ndarray:
+    """Evaluate the curve at n uniform parameters, endpoints included.
+
+    With `discretize` it is the max-below rule `fit` used before the exact
+    one.  `fit` calls neither and ignores its n_samples; both go with the
+    benchmark's next change (ROADMAP item 3), which stops binding them.
+    """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    return np.linspace(0.0, 1.0, n)
-
-
-def sample_curve(curve: PiecewiseCurve, n: int) -> np.ndarray:
-    """Evaluate the curve at n uniform parameters, endpoints included."""
-    return curve.at(_sample_params(n))
+    return curve.at(np.linspace(0.0, 1.0, n))
 
 
 def discretize(samples: np.ndarray, n_days: int) -> np.ndarray:
-    """Reduce curve samples to one value per day k = 1..n_days.
+    """Reduce curve samples to one value per day k = 1..n_days, by the
+    max-below rule `fit` used before the exact one.
 
     Day k takes the y of the sample whose x is the largest value strictly
     below k; ties on x go to the largest sample index.  Days with no
-    sample to their left fall back to the first sample's y.
+    sample to their left fall back to the first sample's y.  `fit` does
+    not call it and ignores its n_samples; see `sample_curve`.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("no samples to discretize")
-    return samples[_day_samples(samples[:, 0], n_days), 1]
-
-
-def _day_samples(xs: np.ndarray, n_days: int) -> np.ndarray:
-    """Index of the sample each day k = 1..n_days takes, by the rule of `discretize`.
-
-    `xs` is one curve's sample x values, or one row per curve.
-    """
-    order = np.argsort(xs, axis=-1, kind="stable")  # stable: equal x keeps index order
+    order = np.argsort(samples[:, 0], kind="stable")  # stable: equal x keeps index order
     days = np.arange(1, n_days + 1, dtype=float)
-    pos = np.empty(xs.shape[:-1] + (n_days,), dtype=np.intp)
-    for row in np.ndindex(xs.shape[:-1]):
-        pos[row] = np.searchsorted(xs[row], days, side="left", sorter=order[row])
-    picked = np.take_along_axis(order, np.maximum(pos - 1, 0), axis=-1)
-    return np.where(pos > 0, picked, 0)
+    pos = np.searchsorted(samples[:, 0], days, side="left", sorter=order)
+    return samples[np.where(pos > 0, order[pos - 1], 0), 1]
 
 
-def _discretize_curves(
-    omega, controls: np.ndarray, ts: np.ndarray, n_days: int, work=(None,) * 4
-) -> np.ndarray:
-    """`discretize(PiecewiseCurve(omega, controls).at(ts), n_days)`, evaluating
-    y only at the samples it uses.
+def _day_values(omegas: np.ndarray, controls: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """The exact rule: y(t*_k) where x(t*_k) = k, for days k = 1..N, per curve.
 
-    x is evaluated at every sample; y only at the <= n_days samples the day
-    rule picks.  With a 1-D array of g omegas and controls (g, 29, 2) it
-    does so for each curve and returns (g, n_days).  `work` holds the
-    arrays of shape (g, len(ts)) that the spans (intp), u, x and
-    intermediate values of every sample are written into; each is
-    allocated where it is None.
+    `omegas` (g,) and `controls` (g, 29, 2) give g curves whose x controls
+    strictly increase, and `params` the N chord-length parameters; the
+    result has shape (g, N).  Day k is solved on the span whose x range
+    holds it, the last span whose start x is <= k, in that span's local
+    variable u in [0, 1], by NEWTON_STEPS Newton steps from u at t_k, each
+    clamped to [0, 1].  A day below x(0) takes u = 0 on the first span, a
+    day above x(1) u = 1 on the last, that is t = 0 and t = 1.
     """
     polys = pp_curve(controls)
-    spans, us, xs, scratch = work
-    spans, us = piecewise_spans(ts, omega, (spans, us), scratch)
-    used = _day_samples(pp_eval(polys[..., 0], spans, us, xs, scratch), n_days)
-    spans = np.take_along_axis(spans, used, axis=-1)
-    us = np.take_along_axis(us, used, axis=-1)
-    return pp_eval(polys[..., 1], spans, us)
+    xs, ys = polys[..., 0], polys[..., 1]
+    slopes = pp_derivative(xs)
+    days = np.arange(1.0, params.size + 1)
+    per_curve = 2 * NUM_SPANS
+    starts = xs[:, 0].reshape(-1, per_curve)  # x where each span starts
+    spans = np.stack([np.searchsorted(x_starts, days, side="right") for x_starts in starts]) - 1
+    np.clip(spans, 0, per_curve - 1, out=spans)
+    spans += per_curve * np.arange(len(starts))[:, None]
+    # start from t_k, in u of the bracketing span: u(t_k) on t_k's own span,
+    # shifted by the whole spans between them and clamped to the span
+    chord_spans, us = piecewise_spans(params, omegas)
+    us += chord_spans - spans
+    np.clip(us, 0.0, 1.0, out=us)
+    for _ in range(NEWTON_STEPS):
+        step = pp_eval(xs, spans, us)
+        step -= days
+        step /= pp_eval(slopes, spans, us)
+        us -= step
+        np.clip(us, 0.0, 1.0, out=us)
+    us[days < controls[:, :1, 0]] = 0.0  # x(0) and x(1) are the end controls' x
+    us[days > controls[:, -1:, 0]] = 1.0
+    return pp_eval(ys, spans, us)
+
+
+def _mean_square(signal: np.ndarray, f: np.ndarray) -> float:
+    diff = signal - f
+    return float(diff @ diff / signal.size)
 
 
 def mse(signal: np.ndarray, data) -> float:
@@ -275,8 +311,7 @@ def mse(signal: np.ndarray, data) -> float:
     target = _finite_values(data)
     if signal.shape != target.shape:
         raise ValueError(f"length mismatch: {signal.shape} vs {target.shape}")
-    diff = signal - target
-    return float(diff @ diff / signal.size)
+    return _mean_square(signal, target)
 
 
 def default_omega_grid(
@@ -294,12 +329,6 @@ def default_omega_grid(
     return np.clip(grid, lo, hi)  # the rounding may not leave [lo, hi]
 
 
-def _view(buffer: np.ndarray, offset: int, dtype, shape: tuple[int, ...]) -> np.ndarray:
-    """The array of `shape` and `dtype` over the bytes of `buffer` from `offset` on."""
-    size = np.dtype(dtype).itemsize * math.prod(shape)
-    return buffer[offset : offset + size].view(dtype).reshape(shape)
-
-
 def fit(
     data,
     omega_grid: Sequence[float] | float | None = None,
@@ -310,13 +339,15 @@ def fit(
     The data must be finite and non-negative with a positive total, the
     rule `ingest.histogram` applies, and need at least 29 values, one per
     control point.  Grid candidates lie in (0, 1), the basis's rule, and a
-    number is a one-candidate grid.  The curve takes n_samples samples, by
-    default SAMPLES_PER_DAY per value.  Exact ties go to the smaller omega.
-    Candidates whose normal equations cannot be factorized are recorded
-    with an infinite score and skipped, and a non-finite score never wins;
-    if no candidate scores finite, IllConditionedError (a RuntimeError) is
-    raised.  The selection depends only on the candidate set, not on
-    evaluation order.
+    number is a one-candidate grid.  `n_samples` is ignored: the curve is
+    discretized exactly, not sampled.  The benchmark still passes it; it
+    goes with the benchmark's next change (ROADMAP item 3).  Exact ties go
+    to the smaller omega.  A candidate whose design is rank-deficient (gate
+    (a)), whose normal equations cannot be factorized, or whose x controls
+    do not strictly increase (gate (b)) is recorded with an infinite score
+    and skipped, and a non-finite score never wins; if no candidate scores
+    finite, IllConditionedError (a RuntimeError) is raised.  The selection
+    depends only on the candidate set, not on evaluation order.
     """
     f = check_window_values(getattr(data, "f", data))
     if f.size < NUM_PIECEWISE_BASIS:
@@ -329,46 +360,32 @@ def fit(
 
     points = data_points(f)
     params = chord_length_params(points)
-    ts = _sample_params(SAMPLES_PER_DAY * f.size if n_samples is None else n_samples)
     per_stack = min(grid.size, max(1, WORK_BYTES // (DESIGN_ROW_BYTES * f.size)))
-    per_chunk = min(grid.size, max(1, WORK_BYTES // (SAMPLE_BYTES * ts.size)))
-    design_shape = (per_stack, f.size, NUM_PIECEWISE_BASIS)
-    sampling_shape = (per_chunk, ts.size)
-    design_bytes = np.dtype(np.float64).itemsize * math.prod(design_shape)
-    work = np.empty(max(design_bytes, SAMPLE_BYTES * math.prod(sampling_shape)), np.uint8)
-    design = _view(work, 0, np.float64, design_shape)
-    sampling, offset = [], 0
-    for dtype in _SAMPLING_DTYPES:
-        sampling.append(_view(work, offset, dtype, sampling_shape))
-        offset += sampling[-1].nbytes
-
-    # stage 1: the controls of every candidate, solved a stack at a time
-    controls = np.empty((grid.size, NUM_PIECEWISE_BASIS, 2))
-    for start in range(0, grid.size, per_stack):
-        stack = grid[start : start + per_stack]
-        stacked = assemble_design(params, stack, design[: stack.size])
-        controls[start : start + stack.size] = solve_normal_equations(stacked, points)
-
-    # stage 2: discretize and score the curves a chunk at a time, in grid order
+    design = np.empty((per_stack, f.size, NUM_PIECEWISE_BASIS))
     scores: list[tuple[float, float]] = []
     best = None  # (mse, omega, controls, discretized) of the best candidate so far
-    for start in range(0, grid.size, per_chunk):
-        chunk = grid[start : start + per_chunk]
-        g = chunk.size
-        chunk_controls = controls[start : start + g]
-        signals = _discretize_curves(chunk, chunk_controls, ts, f.size, [a[:g] for a in sampling])
-        for omega, control, signal in zip(chunk.tolist(), chunk_controls, signals):
-            if np.isnan(control[0, 0]):  # the normal equations failed
-                scores.append((omega, math.inf))
-                continue
-            score = mse(signal, f)
-            scores.append((omega, score))
-            if math.isfinite(score) and (best is None or (score, omega) < best[:2]):
-                best = (score, omega, control, signal)
+    for start in range(0, grid.size, per_stack):
+        stack = grid[start : start + per_stack]
+        stack_scores = np.full(stack.size, math.inf)
+        passed = np.flatnonzero(_full_rank(params, stack))  # gate (a)
+        if passed.size:
+            design_stack = assemble_design(params, stack[passed], design[: passed.size])
+            controls = solve_normal_equations(design_stack, points)
+            # gate (b); a failed solve left NaN controls, which fail it too
+            increasing = np.all(np.diff(controls[..., 0], axis=-1) > 0.0, axis=-1)
+            passed, controls = passed[increasing], controls[increasing]
+        if passed.size:
+            signals = _day_values(stack[passed], controls, params)
+            for i, control, signal in zip(passed, controls, signals):
+                stack_scores[i] = score = _mean_square(signal, f)
+                omega = float(stack[i])
+                if math.isfinite(score) and (best is None or (score, omega) < best[:2]):
+                    best = (score, omega, control, signal)
+        scores.extend(zip(stack.tolist(), stack_scores.tolist()))
 
     if best is None:
         raise IllConditionedError(
-            "every segmentation-point candidate was ill-conditioned or scored non-finite"
+            "every segmentation-point candidate was inadmissible, ill-conditioned or scored non-finite"
         )
 
     scores.sort(key=lambda item: item[0])
@@ -377,5 +394,6 @@ def fit(
 
 
 def fit_fixed_omega(data, omega: float, n_samples: int | None = None) -> FitResult:
-    """Fit and score the curve for one fixed segmentation point: `fit` on [omega]."""
+    """Fit and score the curve for one fixed segmentation point: `fit` on
+    [omega].  `n_samples` is ignored, as by `fit`."""
     return fit(data, [omega], n_samples)

@@ -5,8 +5,8 @@ reproduce through the full pipeline.  `linear_day_curve` builds a curve
 whose x component is exactly the day map x(t) = 1 + (N-1) t (control
 x-values at the Greville abscissae reproduce linear functions exactly) and
 whose y component has a slope break at the join, so the segmentation point
-is identifiable.  `roundtrip_data` then pushes the curve through the same
-dense sampling + max-below discretization the fit itself uses.
+is identifiable.  `roundtrip_data` then discretizes the curve by the exact
+rule the fit uses (day k takes y where x = k), solved by bisection.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from qdfit.basis import NUM_QUASI_BASIS, make_knot_vector
-from qdfit.fitting import PiecewiseCurve, discretize, sample_curve
+from fit_oracle import bisect_day_values
+from qdfit.fitting import PiecewiseCurve
 
 
 def greville_abscissae() -> np.ndarray:
@@ -42,9 +43,9 @@ def linear_day_curve(
     return PiecewiseCurve(omega, np.column_stack([cx, cy]))
 
 
-def roundtrip_data(curve: PiecewiseCurve, n_days: int, n_samples: int) -> np.ndarray:
+def roundtrip_data(curve: PiecewiseCurve, n_days: int) -> np.ndarray:
     """Unit-sum day values obtained by the pipeline's own forward model."""
-    values = discretize(sample_curve(curve, n_samples), n_days)
+    values = bisect_day_values(curve, n_days)
     return values / values.sum()
 
 

@@ -119,12 +119,12 @@ def test_criterion_3_least_squares_optimality():
 
 @_criterion(4, "generate-and-refit recovers omega* = 0.3 with near-zero MSE")
 def test_criterion_4_generate_and_refit():
-    n_days, n_samples = 500, 20 * 500
+    n_days = 500
     truth = linear_day_curve(0.30, n_days)
-    f = roundtrip_data(truth, n_days, n_samples)
+    f = roundtrip_data(truth, n_days)
     assert (f > 0.0).all()
 
-    result = fit(f, n_samples=n_samples)
+    result = fit(f)
     assert abs(result.omega - 0.30) <= 0.01 + 1e-12
 
     # scale: mean squared magnitude of the fitted data points (k, f_k)
@@ -204,12 +204,12 @@ def test_criterion_9_performance_and_determinism():
     data = histogram(extract_window(moving_average_7(raw), window))
 
     start = time.perf_counter()
-    result = fit(data, n_samples=20 * n_days)
+    result = fit(data)
     elapsed = time.perf_counter() - start
     assert len(result.omega_grid_scores) == 81
     assert elapsed < 5.0, f"fit took {elapsed:.2f}s"
 
-    rerun = fit(data, n_samples=20 * n_days)
+    rerun = fit(data)
     assert rerun.omega == result.omega
     assert rerun.mse == result.mse
     np.testing.assert_array_equal(rerun.discretized, result.discretized)

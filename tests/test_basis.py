@@ -16,9 +16,6 @@ from qdfit.basis import (
     _knot_spans,
     make_knot_vector,
     piecewise_basis_matrix,
-    piecewise_spans,
-    pp_curve,
-    pp_eval,
     quasi_basis_matrix,
 )
 
@@ -121,22 +118,6 @@ class TestOutArrays:
         for out in (np.empty((10, 30)), np.empty((29, 10)).T):
             with pytest.raises(ValueError, match="C-contiguous"):
                 piecewise_basis_matrix(ts, 0.4, out)
-
-    def test_piecewise_spans_and_pp_eval(self):
-        rng = np.random.default_rng(5)
-        ts = rng.random(500)
-        polys = pp_curve(rng.normal(size=(self.OMEGAS.size, NUM_PIECEWISE_BASIS, 2)))
-        spans, us = piecewise_spans(ts, self.OMEGAS)
-        shape = (self.OMEGAS.size, ts.size)
-        out = (np.full(shape, -1, dtype=np.intp), np.full(shape, np.nan))
-        scratch = np.full(shape, np.nan)
-        got = piecewise_spans(ts, self.OMEGAS, out, scratch)
-        assert got[0] is out[0] and got[1] is out[1]
-        np.testing.assert_array_equal(got[0], spans)
-        np.testing.assert_array_equal(got[1], us)
-        xs = np.full(shape, np.nan)
-        assert pp_eval(polys[..., 0], spans, us, xs, scratch) is xs
-        np.testing.assert_array_equal(xs, pp_eval(polys[..., 0], spans, us))
 
 
 class TestRecursiveEvaluator:

@@ -21,6 +21,7 @@ from qdfit.fitting import (
     sample_curve,
     solve_normal_equations,
 )
+from fit_oracle import bisect_day_values
 from synthetic import greville_abscissae, linear_day_curve, roundtrip_data, two_bump_counts
 
 
@@ -137,7 +138,7 @@ class TestNormalEquations:
             solve_normal_equations(design, np.zeros((11, 2)))
 
     def test_singular_gram_raises_ill_conditioned(self):
-        # an all-zero design gives a zero Gram matrix and a zero ridge
+        # an all-zero design gives a zero Gram matrix
         with pytest.raises(IllConditionedError):
             solve_normal_equations(np.zeros((40, 29)), np.ones((40, 2)))
 
@@ -197,6 +198,18 @@ class TestCurveEvaluation:
         actual = PiecewiseCurve(omega, controls).at(ts)
         assert np.abs(actual - expected).max() <= 1e-13 * np.abs(controls).max()
 
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(min_value=0.01, max_value=0.99))
+    def test_pp_derivative_matches_central_differences(self, seed, omega):
+        # d/du of each span's polynomial; u stays inside the span
+        rng = np.random.default_rng(seed)
+        polys = basis.pp_curve(rng.normal(size=(NUM_PIECEWISE_BASIS, 2)))
+        spans, us = basis.piecewise_spans(rng.uniform(0.0, 1.0, 200), omega)
+        us = np.clip(us, 0.01, 0.99)
+        h = 1e-5
+        expected = (basis.pp_eval(polys, spans, us + h) - basis.pp_eval(polys, spans, us - h)) / (2 * h)
+        actual = basis.pp_eval(basis.pp_derivative(polys), spans, us)
+        assert np.abs(actual - expected).max() <= 1e-6 * np.abs(polys).max()
+
     @pytest.mark.parametrize("t", [-1e-12, -0.5, 1.0 + 1e-12, 2.0, float("nan")])
     def test_parameters_outside_unit_interval_rejected(self, t):
         curve = PiecewiseCurve(0.4, np.ones((29, 2)))
@@ -205,56 +218,85 @@ class TestCurveEvaluation:
 
 
 class TestFusedDiscretization:
-    """fit picks each day's sample from x and evaluates y only there; it must
-    give exactly what `discretize` gives on the full samples."""
+    """fit discretizes inside its loop, by the exact rule: day k takes y(t*_k)
+    where x(t*_k) = k, found by Newton's method from the chord-length
+    parameters.  A stack of curves must give what one curve at a time gives."""
 
     @staticmethod
-    def fused(curve, n_samples, n_days):
-        expected = discretize(sample_curve(curve, n_samples), n_days)
-        ts = np.linspace(0.0, 1.0, n_samples)
-        out = fitting._discretize_curves(curve.omega, curve.controls, ts, n_days)
-        np.testing.assert_array_equal(out, expected)
-        # the same curve inside a stack of curves gives the same row
-        others = PiecewiseCurve(0.55, curve.controls[::-1] + 1.0)
-        stacked = fitting._discretize_curves(
-            np.array([others.omega, curve.omega]),
-            np.stack([others.controls, curve.controls]),
-            ts,
-            n_days,
+    def fused(curve, params):
+        out = fitting._day_values(np.array([curve.omega]), curve.controls[None], params)[0]
+        np.testing.assert_allclose(
+            out, bisect_day_values(curve, params.size), rtol=0.0, atol=1e-12 * np.abs(curve.controls).max()
         )
-        np.testing.assert_array_equal(stacked[1], expected)
-        np.testing.assert_array_equal(stacked[0], discretize(sample_curve(others, n_samples), n_days))
+        # the same curve inside a stack of curves gives the same row
+        others = PiecewiseCurve(0.55, curve.controls * [1.0, -1.0] + [0.25, 1.0])
+        stacked = fitting._day_values(
+            np.array([others.omega, curve.omega]), np.stack([others.controls, curve.controls]), params
+        )
+        np.testing.assert_array_equal(stacked[1], out)
+        np.testing.assert_array_equal(
+            stacked[0], fitting._day_values(np.array([others.omega]), others.controls[None], params)[0]
+        )
         return out
 
     def test_equal_x_ties_take_the_largest_index(self):
+        # the max-below rule of `discretize`, which fit no longer uses; under
+        # the exact rule a flat x fails gate (b) (see test_non_monotone_x)
         controls = np.column_stack([np.zeros(29), np.linspace(1.0, 2.0, 29)])
         curve = PiecewiseCurve(0.4, controls)
-        assert np.all(sample_curve(curve, 200)[:, 0] == 0.0)
-        out = self.fused(curve, 200, 3)
-        np.testing.assert_array_equal(out, sample_curve(curve, 200)[-1, 1])
+        samples = sample_curve(curve, 200)
+        assert np.all(samples[:, 0] == 0.0)
+        np.testing.assert_array_equal(discretize(samples, 3), samples[-1, 1])
 
     def test_day_without_earlier_sample_takes_the_first(self):
+        # days outside [x(0), x(1)] take t = 0 or t = 1
         curve = linear_day_curve(0.4, 50)
         shifted = PiecewiseCurve(0.4, curve.controls + [0.5, 0.0])
-        out = self.fused(shifted, 1000, 50)
-        assert out[0] == sample_curve(shifted, 1000)[0, 1]
+        out = self.fused(shifted, np.linspace(0.0, 1.0, 50))
+        assert out[0] == shifted.at(np.array([0.0]))[0, 1]
+        squeezed = PiecewiseCurve(0.4, curve.controls * [0.5, 1.0] + [12.0, 0.0])
+        out = self.fused(squeezed, np.linspace(0.0, 1.0, 50))
+        np.testing.assert_array_equal(out[:12], squeezed.at(np.array([0.0]))[0, 1])
+        np.testing.assert_array_equal(out[37:], squeezed.at(np.array([1.0]))[0, 1])
+
+    def test_linear_day_map_takes_y_at_its_inverse(self):
+        # x(t) = 1 + (N - 1) t exactly, so t*_k = (k - 1)/(N - 1)
+        curve = linear_day_curve(0.35, 80)
+        ts = np.linspace(0.0, 1.0, 80)
+        out = self.fused(curve, ts)
+        np.testing.assert_allclose(out, curve.at(ts)[:, 1], rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("n_samples", [2, 3000])
     def test_sample_counts(self, n_samples):
+        # fit ignores n_samples and discretizes its winner by the exact rule
         curve = linear_day_curve(0.6, 60)
-        self.fused(curve, n_samples, 60)
-        f = roundtrip_data(curve, 60, n_samples)
+        f = roundtrip_data(curve, 60)
         result = fit(f, [0.6], n_samples)
-        np.testing.assert_array_equal(
-            result.discretized, discretize(sample_curve(result.curve, n_samples), 60)
-        )
+        assert result.mse == fit(f, [0.6]).mse
+        params = chord_length_params(data_points(f))
+        np.testing.assert_array_equal(result.discretized, self.fused(result.curve, params))
 
     def test_non_monotone_x(self):
+        # gate (b): a candidate whose x controls do not strictly increase is
+        # never discretized or scored; flat x counts as not increasing
         rng = np.random.default_rng(21)
-        curve = PiecewiseCurve(0.3, rng.normal(size=(29, 2)))
-        xs = sample_curve(curve, 400)[:, 0]
-        assert np.any(np.diff(xs) < 0.0)
-        self.fused(curve, 400, 5)
+        f = rng.random(60) + 0.5
+        f /= f.sum()
+        real = fitting.solve_normal_equations
+
+        def bend(design, points):
+            controls = real(design, points)
+            assert len(controls) == 3  # one stack, rows in grid order
+            controls[0, 5, 0] = controls[0, 4, 0] - 1.0  # omega 0.4: x turns back
+            controls[2, 5, 0] = controls[2, 4, 0]  # omega 0.6: x stalls
+            return controls
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fitting, "solve_normal_equations", bend)
+            result = fit(f, [0.4, 0.5, 0.6])
+        scores = dict(result.omega_grid_scores)
+        assert scores[0.4] == scores[0.6] == float("inf")
+        assert scores[0.5] == fit(f, [0.5]).mse and result.omega == 0.5
 
 
 class TestDiscretize:
@@ -324,8 +366,8 @@ class TestFitFixedOmega:
 
     def test_roundtrip_from_known_curve(self):
         curve = linear_day_curve(0.4, 200)
-        f = roundtrip_data(curve, 200, 4000)
-        candidate = fit_fixed_omega(f, 0.4, 4000)
+        f = roundtrip_data(curve, 200)
+        candidate = fit_fixed_omega(f, 0.4)
         assert candidate.mse <= 1e-14 * np.mean(np.arange(1, 201) ** 2 + f**2)
 
     def test_reported_mse_matches_recomputation(self):
@@ -406,7 +448,7 @@ class TestFit:
         # fit in one process reuses the heap instead of faulting it in again
         # (about 33k minor faults at 2000 days when every candidate allocated
         # its own temporaries and the heap top went back to the OS in between);
-        # at 500 days stage 1 stacks two candidates, at 2000 days one
+        # at 500 days a stack holds two candidates, at 2000 days one
         resource = pytest.importorskip("resource")
         for n_days in (500, 2000):
             f = np.random.default_rng(19).random(n_days) + 0.1
@@ -424,8 +466,8 @@ class TestFit:
 
     def test_recovers_generating_omega(self):
         curve = linear_day_curve(0.3, 150)
-        f = roundtrip_data(curve, 150, 3000)
-        result = fit(f, n_samples=3000)
+        f = roundtrip_data(curve, 150)
+        result = fit(f)
         assert abs(result.omega - 0.3) <= 0.01 + 1e-9
 
     def test_mse_is_grid_minimum(self):
@@ -461,8 +503,9 @@ class TestFit:
             calls.append(signal)
             return 0.125
 
-        monkeypatch.setattr(fitting, "mse", stub)
-        result = fitting.fit(np.ones(30) / 30, omega_grid=[0.7, 0.3, 0.5])
+        monkeypatch.setattr(fitting, "_mean_square", stub)
+        # 60 days: all three candidates pass both gates and are scored
+        result = fitting.fit(np.ones(60) / 60, omega_grid=[0.7, 0.3, 0.5])
         assert result.omega == 0.3
         assert len(calls) == 3
 
@@ -489,7 +532,8 @@ class TestFit:
 
         monkeypatch.setattr(fitting, "assemble_design", recording)
         monkeypatch.setattr(fitting, "_cholesky", flaky)
-        f = np.full(60, 1.0 / 60)
+        # 120 days: every candidate passes gate (a); the data's kink is at 0.5
+        f = roundtrip_data(linear_day_curve(0.5, 120), 120)
         result = fitting.fit(f, omega_grid=[0.2, 0.3, 0.5, 0.7])
         assert stacks == [[0.2, 0.3, 0.5, 0.7]]
         assert factorized == [0.2, 0.3, 0.5, 0.7]
@@ -507,8 +551,9 @@ class TestFit:
             fitting.fit(np.ones(40) / 40, omega_grid=[0.4, 0.6])
 
     def test_failing_and_passing_candidates_share_a_chunk(self, monkeypatch):
-        # a zero design has a zero Gram matrix and ridge, which really fails to
-        # factorize; the other candidates of its chunk must be unaffected
+        # a zero design has a zero Gram matrix, which really fails to
+        # factorize; the other candidates of its stack must be unaffected
+        # (0.2 and 0.8 fail gate (a) here and are not assembled)
         real = fitting.assemble_design
 
         def zero_at_half(params, omega, out=None):
@@ -520,9 +565,8 @@ class TestFit:
         f = rng.random(60)
         f /= f.sum()
         grid = [0.2, 0.5, 0.35, 0.8]
-        # one stage-1 stack and one stage-2 chunk hold the whole grid
+        # one stack holds the whole grid
         assert fitting.WORK_BYTES // (fitting.DESIGN_ROW_BYTES * f.size) >= len(grid)
-        assert fitting.WORK_BYTES // (fitting.SAMPLE_BYTES * fitting.SAMPLES_PER_DAY * f.size) >= len(grid)
         clean, runner_up = fit(f, grid), fit(f, [0.35])
         monkeypatch.setattr(fitting, "assemble_design", zero_at_half)
         result = fit(f, grid)
@@ -550,7 +594,7 @@ class TestFit:
         assert designs == []
 
     def test_bare_number_is_a_one_candidate_grid(self):
-        f = roundtrip_data(linear_day_curve(0.5, 60), 60, 1200)
+        f = roundtrip_data(linear_day_curve(0.5, 60), 60)
         result = fit(f, 0.5)
         assert result.omega == 0.5
         assert result.omega_grid_scores == fit(f, [0.5]).omega_grid_scores

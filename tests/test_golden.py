@@ -5,21 +5,26 @@ Tolerance policy:
   SVG files byte for byte;
 - rtol 1e-7: gamma, mean_day, variance, peak heights and prominences,
   negative_mass;
-- rtol 1e-4, atol 1e-12: mse, min_value and the omega-grid scores, which
-  carry the solver's rounding on near-singular candidates and near-zero fits.
+- rtol 1e-9, atol 1e-12: mse, min_value and the omega-grid scores.  Solving
+  the corpus's normal equations by QR (`np.linalg.lstsq`) instead of
+  Cholesky moves them by at most 3.1e-11 relative; scores at rounding level
+  (the interpolating 29-day fits, constant data) move by more, but stay
+  within atol.  Failed candidates (null) must stay failed.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 import qdfit.cli
 from golden_cases import golden_files, run_scenario, scenarios
-from qdfit.fitting import SAMPLES_PER_DAY, discretize, fit, sample_curve
+from fit_oracle import bisect_day_values
+from qdfit.fitting import fit
 
 STATS_RTOL = 1e-7
-SCORE_RTOL, SCORE_ATOL = 1e-4, 1e-12
+SCORE_RTOL, SCORE_ATOL = 1e-9, 1e-12
 
 
 def _close(actual, expected, where, rtol, atol=0.0):
@@ -69,10 +74,10 @@ def test_outputs_match_golden_corpus(scenario, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["min_window_29", "two_bump_500"])
-def test_fused_discretization_matches_argsort_rule(name, tmp_path, monkeypatch):
-    # every grid candidate of the scenario's fit, fused (x-only search, y at the
-    # used samples) against `discretize` on all samples; the 29-day window has
-    # candidates with non-monotone x(t), so the argsort reorders there
+def test_exact_discretization_matches_bisection(name, tmp_path, monkeypatch):
+    # every grid candidate of the scenario's fit that passes both gates,
+    # Newton's day values against bisection's; the 29-day window has
+    # rank-deficient candidates, which score inf
     calls = []
 
     def recording(data, omega_grid, n_samples=None):
@@ -82,13 +87,15 @@ def test_fused_discretization_matches_argsort_rule(name, tmp_path, monkeypatch):
     monkeypatch.setattr(qdfit.cli, "fit", recording)
     run_scenario(next(s for s in scenarios() if s.name == name), tmp_path)
     (data, grid), = calls
-    n_samples = SAMPLES_PER_DAY * data.n_days  # the CLI fits at fit's default
-    monotone = 0
-    for omega in grid:
-        result = fit(data, [omega], n_samples)
-        samples = sample_curve(result.curve, n_samples)
-        np.testing.assert_array_equal(result.discretized, discretize(samples, data.n_days))
-        monotone += bool(np.all(np.diff(samples[:, 0]) >= 0.0))
-    assert monotone > 0
+    scored = 0
+    for omega, score in fit(data, grid).omega_grid_scores:
+        if math.isinf(score):
+            continue
+        result = fit(data, [omega])
+        expected = bisect_day_values(result.curve, data.n_days)
+        scale = np.abs(result.curve.controls[:, 1]).max()
+        np.testing.assert_allclose(result.discretized, expected, rtol=0.0, atol=1e-12 * scale)
+        scored += 1
+    assert scored > 0
     if name == "min_window_29":
-        assert monotone < len(grid)
+        assert scored < len(grid)

@@ -173,6 +173,6 @@ class TestQuasiDistribution:
         days = np.arange(1, n + 1, dtype=float)
         f = np.exp(-((days - n / 2.0) ** 2) / (2 * 12.0**2))
         f /= f.sum()
-        result = fit(f, n_samples=2000)
+        result = fit(f)
         quasi = quasi_distribution(result.discretized)
         assert abs(quasi.mean - n / 2.0) <= 1.0
