@@ -249,26 +249,24 @@ def pp_curve(controls: np.ndarray) -> np.ndarray:
 
 
 def pp_derivative(polys: np.ndarray) -> np.ndarray:
-    """Power-basis coefficients of d/du of `pp_curve` (or `pp_derivative`) output.
-
-    Entry [span, p] is (p + 1) times the input's u**(p + 1) coefficient, so
-    the result has one power fewer.  By the chain rule the t-derivative is
-    10/omega times it on the left segment and 10/(1 - omega) on the right.
-    """
+    """d/du of `pp_curve` coefficients: entry [span, p] is (p + 1) times the
+    u**(p + 1) one.  The t-derivative is 10/omega times it on the left
+    segment and 10/(1 - omega) on the right."""
     powers = np.arange(1, polys.shape[1]).reshape((-1,) + (1,) * (polys.ndim - 2))
     return polys[:, 1:] * powers
 
 
 def pp_eval(polys: np.ndarray, spans: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Evaluate `pp_curve` (or `pp_derivative`) coefficients at
-    `piecewise_spans` output by Horner's rule.
-
-    The result has shape spans.shape + polys.shape[2:].  Each point's
-    coefficients are gathered once, in one row of all powers.
-    """
-    us = us.reshape(us.shape + (1,) * (polys.ndim - 2))
+    """Evaluate `pp_curve` (or `pp_derivative`) coefficients at `piecewise_spans`
+    output by Horner's rule; the result has shape spans.shape + polys.shape[2:]."""
     # np.take gathers whole rows; polys[spans] is four times slower here
     by_power = np.moveaxis(np.take(polys, spans, axis=0), spans.ndim, 0)
+    return horner(by_power, us.reshape(us.shape + (1,) * (polys.ndim - 2)))
+
+
+def horner(by_power, us: np.ndarray) -> np.ndarray:
+    """Evaluate a polynomial at us by Horner's rule; by_power[p] holds the
+    u**p coefficients, one per u (or broadcast against us)."""
     out = by_power[-1].copy()
     for coeffs in by_power[-2::-1]:
         out *= us

@@ -42,6 +42,7 @@ from .basis import (
     _check_omega,
     _knot_spans,
     _segment_params,
+    horner,
     piecewise_basis_matrix,
     piecewise_spans,
     pp_curve,
@@ -265,36 +266,35 @@ def discretize(samples: np.ndarray, n_days: int) -> np.ndarray:
 
 
 def _day_values(omegas: np.ndarray, controls: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """The exact rule: y(t*_k) where x(t*_k) = k, for days k = 1..N, per curve.
+    """The exact rule, y(t*_k) where x(t*_k) = k for days k = 1..N: (g, N)
+    values for g curves (omegas (g,), controls (g, 29, 2) with increasing x).
 
-    `omegas` (g,) and `controls` (g, 29, 2) give g curves whose x controls
-    strictly increase, and `params` the N chord-length parameters; the
-    result has shape (g, N).  Day k is solved on the span whose x range
-    holds it, the last span whose start x is <= k, in that span's local
-    variable u in [0, 1], by NEWTON_STEPS Newton steps from u at t_k, each
-    clamped to [0, 1].  A day below x(0) takes u = 0 on the first span, a
-    day above x(1) u = 1 on the last, that is t = 0 and t = 1.
+    Day k is solved on the last span whose start x is <= k, in its local
+    u in [0, 1], by NEWTON_STEPS steps from t_k's u, each clamped to [0, 1].
+    Days below x(0) or above x(1) take t = 0 or t = 1.
     """
     polys = pp_curve(controls)
     xs, ys = polys[..., 0], polys[..., 1]
-    slopes = pp_derivative(xs)
     days = np.arange(1.0, params.size + 1)
     per_curve = 2 * NUM_SPANS
     starts = xs[:, 0].reshape(-1, per_curve)  # x where each span starts
     spans = np.stack([np.searchsorted(x_starts, days, side="right") for x_starts in starts]) - 1
-    np.clip(spans, 0, per_curve - 1, out=spans)
+    spans.clip(0, per_curve - 1, out=spans)
     spans += per_curve * np.arange(len(starts))[:, None]
     # start from t_k, in u of the bracketing span: u(t_k) on t_k's own span,
     # shifted by the whole spans between them and clamped to the span
     chord_spans, us = piecewise_spans(params, omegas)
     us += chord_spans - spans
-    np.clip(us, 0.0, 1.0, out=us)
+    us.clip(0.0, 1.0, out=us)
+    # x and x' on each day's span, by power, gathered once
+    x_coeffs = np.moveaxis(np.take(xs, spans, axis=0), -1, 0)
+    slope_coeffs = np.moveaxis(np.take(pp_derivative(xs), spans, axis=0), -1, 0)
     for _ in range(NEWTON_STEPS):
-        step = pp_eval(xs, spans, us)
+        step = horner(x_coeffs, us)
         step -= days
-        step /= pp_eval(slopes, spans, us)
+        step /= horner(slope_coeffs, us)
         us -= step
-        np.clip(us, 0.0, 1.0, out=us)
+        us.clip(0.0, 1.0, out=us)
     us[days < controls[:, :1, 0]] = 0.0  # x(0) and x(1) are the end controls' x
     us[days > controls[:, -1:, 0]] = 1.0
     return pp_eval(ys, spans, us)
