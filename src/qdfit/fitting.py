@@ -301,6 +301,7 @@ def _day_values(omegas: np.ndarray, controls: np.ndarray, params: np.ndarray) ->
 
 
 def _mean_square(signal: np.ndarray, f: np.ndarray) -> float:
+    """`mse` for data the caller has checked already, as `fit` has."""
     diff = signal - f
     return float(diff @ diff / signal.size)
 
