@@ -91,19 +91,20 @@ def _basis_values(ts: np.ndarray, spans: np.ndarray) -> np.ndarray:
     bottom-up for all parameters at once, one degree level at a time: level
     j updates the j rows r = 0..j-1 as (j, m) slices, each element by the
     same operations in the same order as A2.2's loop over r.  The result
-    and the work rows are views of one block, allocated once per call.
+    and the work rows are views of one block, allocated once per call;
+    A2.2's left[j] and right[j], j = 1..5, are rows j - 1 here.
     """
     m = ts.size
-    block = np.empty((3 * ORDER + DEGREE, m))
-    vals, left, right, temp = np.split(block, [ORDER, 2 * ORDER, 3 * ORDER])
+    block = np.empty((ORDER + 3 * DEGREE, m))
+    vals, left, right, temp = np.split(block, [ORDER, ORDER + DEGREE, ORDER + 2 * DEGREE])
     vals[0] = 1.0
     for j in range(1, ORDER):
-        np.take(_KNOTS[ORDER - j :], spans, out=left[j], mode="clip")
-        np.subtract(ts, left[j], out=left[j])  # t - knot_{s+6-j}
-        np.take(_KNOTS[DEGREE + j :], spans, out=right[j], mode="clip")
-        right[j] -= ts  # knot_{s+5+j} - t
-        lefts = left[j:0:-1]  # row r holds left[j - r]
-        rights = right[1 : j + 1]  # row r holds right[r + 1]
+        np.take(_KNOTS[ORDER - j :], spans, out=left[j - 1], mode="clip")
+        np.subtract(ts, left[j - 1], out=left[j - 1])  # t - knot_{s+6-j}
+        np.take(_KNOTS[DEGREE + j :], spans, out=right[j - 1], mode="clip")
+        right[j - 1] -= ts  # knot_{s+5+j} - t
+        lefts = left[j - 1 :: -1]  # row r holds A2.2's left[j - r]
+        rights = right[:j]  # row r holds A2.2's right[r + 1]
         quotient = temp[:j]
         np.add(rights, lefts, out=quotient)
         np.divide(vals[:j], quotient, out=quotient)

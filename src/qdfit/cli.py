@@ -44,7 +44,11 @@ def _fit_columns(
     omega_grid = default_omega_grid(args.omega_min, args.omega_max, args.omega_step)
     window = preset_window(args.country) if args.country else None
     if begin:
-        window = WindowSpec("custom", begin, end or begin + timedelta(days=args.days - 1))
+        try:
+            end = end or begin + timedelta(days=args.days - 1)
+        except OverflowError:  # past 9999-12-31, or more days than a timedelta holds
+            raise ValueError(f"a window of {args.days} days from {begin} leaves the calendar") from None
+        window = WindowSpec("custom", begin, end)
 
     input_path = Path(args.input)
     if not input_path.exists():

@@ -17,13 +17,15 @@ With N = 29 values the design is square: every admissible candidate
 interpolates the data and scores at rounding level, so rounding picks the
 winner, and every choice gives the same day values.
 
-A stack holds as many candidates as their design rows fit in WORK_BYTES at
-DESIGN_ROW_BYTES each, and `fit` allocates the design stack once per fit,
-so that its memory is not given back to the OS and faulted in again
-between stacks.  Every stacked step is elementwise or runs the same
-BLAS/LAPACK routine per candidate, so the results equal those of fitting
-one candidate at a time, bit for bit.  `fit_fixed_omega` is `fit` on a
-one-candidate grid.
+A stack holds as many candidates as have STACK_ROWS design rows between
+them (at least one), and `fit` allocates the design stack once per fit, so
+that its memory is not given back to the OS and faulted in again between
+stacks.  Each step costs a fixed number of numpy calls per stack: the
+parameters are split at the stack's omegas once, for gate (a) and the
+Newton start, and each binary search runs once over all the stack's rows.
+Every stacked step is elementwise or runs the same BLAS/LAPACK routine per
+candidate, so the results equal those of fitting one candidate at a time,
+bit for bit.  `fit_fixed_omega` is `fit` on a one-candidate grid.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .basis import (
     NUM_PIECEWISE_BASIS,
     NUM_QUASI_BASIS,
     NUM_SPANS,
+    ORDER,
     _check_omega,
     _knot_spans,
     _segment_params,
@@ -65,19 +68,12 @@ SAMPLES_PER_DAY = 20
 # fits to random noise need the third
 NEWTON_STEPS = 3
 
-# bytes of work memory a fit may take for its stacked steps: a stack holds
-# as many candidates as their design rows fit in it (at least one), and the
-# design stack is allocated once per fit.  Larger stacks grew the process's
-# peak RSS on the lib-fit-windows benchmark workload (by 2% at twice this
-# and 6% at four times, measured before the design stack was reused)
-WORK_BYTES = 2**19
-
-# a design row is charged 63 floats: its 29 and the transient work on it.
-# By tracemalloc that work peaks at 30.5 floats a row in the basis
-# evaluator (its Cox-de Boor block is 23 of them; gate (a) takes 7.5, the
-# day values 15.4), plus the row's share of the stack's Gram matrices and
-# factors: under one float from 120 days on, 34 at 29 days
-DESIGN_ROW_BYTES = 8 * 63
+# design rows per stack: a stack holds max(1, STACK_ROWS // N) candidates of
+# an N-day window, and the design stack is allocated once per fit.  Each
+# stacked step costs a few numpy calls whatever the stack's size, so larger
+# stacks are faster; at twice this the lib-fit-windows benchmark workload's
+# peak RSS grew by 1.8 MB (4.7%), at this size by about 0.6 MB
+STACK_ROWS = 2048
 
 
 class IllConditionedError(RuntimeError):
@@ -157,9 +153,25 @@ def assemble_design(params: np.ndarray, omega, out: np.ndarray | None = None) ->
     return piecewise_basis_matrix(np.asarray(params, dtype=float), omega, out)
 
 
-def _full_rank(params: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+def _search_rows(rows: np.ndarray, values: np.ndarray, side: str, bound: int) -> np.ndarray:
+    """`np.searchsorted(row, values, side)` for each row of `rows`, in one call.
+
+    `rows` (g, m) holds sorted rows of integers and `values` integers, all
+    in 0..bound - 1.  Offsetting row r's keys and values by r * bound
+    concatenates the rows into one sorted array, in which row r's values
+    find their positions offset by r * m; the result has shape (g, values.size).
+    """
+    index = np.arange(len(rows))[:, None]
+    found = np.searchsorted((rows + bound * index).reshape(-1), values + bound * index, side=side)
+    found -= rows.shape[1] * index
+    return found
+
+
+def _full_rank(right: np.ndarray, tau: np.ndarray, spans: np.ndarray) -> np.ndarray:
     """Gate (a): which omegas give `assemble_design(params, omega)` full
-    column rank, for increasing params; one bool per omega.
+    column rank, for increasing params; one bool per omega.  It takes the
+    design's split of the params at the omegas: the right-segment mask and
+    segment parameters of `_segment_params` and their `_knot_spans`, (g, N).
 
     Schoenberg-Whitney (de Boor, A Practical Guide to Splines, ch. XIII):
     full rank if and only if N_0..N_28 can take, in order, strictly
@@ -174,14 +186,12 @@ def _full_rank(params: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     scan gives it k_i = max(k_{i-1} + 1, a_i), whose unrolled form is
     k_i = i + max_{j<=i} (a_j - j).  Full rank is every k_i < b_i.
     """
-    right, tau = _segment_params(params, omegas)
-    spans = _knot_spans(tau)
     at_knot = tau == spans / NUM_SPANS  # the knot s/10 that opens span s, exactly
     lo = spans + (NUM_QUASI_BASIS - 1) * right
     hi = lo + DEGREE - at_knot * np.where(spans == 0, DEGREE, 1)
     index = np.arange(NUM_PIECEWISE_BASIS)
-    first = np.stack([np.searchsorted(row, index, side="left") for row in hi])  # a_i
-    last = np.stack([np.searchsorted(row, index, side="right") for row in lo])  # b_i
+    first = _search_rows(hi, index, "left", NUM_PIECEWISE_BASIS)  # a_i
+    last = _search_rows(lo, index, "right", NUM_PIECEWISE_BASIS)  # b_i
     taken = np.maximum.accumulate(first - index, axis=1) + index
     return np.all(taken < last, axis=1)
 
@@ -265,39 +275,51 @@ def discretize(samples: np.ndarray, n_days: int) -> np.ndarray:
     return samples[np.where(pos > 0, order[pos - 1], 0), 1]
 
 
-def _day_values(omegas: np.ndarray, controls: np.ndarray, params: np.ndarray) -> np.ndarray:
+def _day_values(
+    controls: np.ndarray, right: np.ndarray, tau: np.ndarray, spans: np.ndarray
+) -> np.ndarray:
     """The exact rule, y(t*_k) where x(t*_k) = k for days k = 1..N: (g, N)
-    values for g curves (omegas (g,), controls (g, 29, 2) with increasing x).
+    values for g curves, given their controls (g, 29, 2) with increasing x
+    and the split of the chord-length parameters t_k at their omegas, as
+    `_full_rank` takes it.
 
     Day k is solved on the last span whose start x is <= k, in its local
     u in [0, 1], by NEWTON_STEPS steps from t_k's u, each clamped to [0, 1].
     Days below x(0) or above x(1) take t = 0 or t = 1.
     """
     polys = pp_curve(controls)
-    xs, ys = polys[..., 0], polys[..., 1]
-    days = np.arange(1.0, params.size + 1)
+    xs = polys[..., 0]
+    n_days = tau.shape[1]
+    days = np.arange(1.0, n_days + 1)
     per_curve = 2 * NUM_SPANS
-    starts = xs[:, 0].reshape(-1, per_curve)  # x where each span starts
-    spans = np.stack([np.searchsorted(x_starts, days, side="right") for x_starts in starts]) - 1
-    spans.clip(0, per_curve - 1, out=spans)
-    spans += per_curve * np.arange(len(starts))[:, None]
+    # the last span whose start x is <= k: a span holds the days from the
+    # first at or above its start x, so count the spans that hold day k
+    first_days = np.searchsorted(days, xs[:, 0].reshape(-1, per_curve), side="left")
+    brackets = _search_rows(first_days, np.arange(n_days), "right", n_days + 1) - 1
+    brackets.clip(0, per_curve - 1, out=brackets)
     # start from t_k, in u of the bracketing span: u(t_k) on t_k's own span,
     # shifted by the whole spans between them and clamped to the span
-    chord_spans, us = piecewise_spans(params, omegas)
-    us += chord_spans - spans
+    us = tau * NUM_SPANS
+    us -= spans
+    us += spans + NUM_SPANS * right - brackets
     us.clip(0.0, 1.0, out=us)
-    # x and x' on each day's span, by power, gathered once
-    x_coeffs = np.moveaxis(np.take(xs, spans, axis=0), -1, 0)
-    slope_coeffs = np.moveaxis(np.take(pp_derivative(xs), spans, axis=0), -1, 0)
+    # x, x' and y on each day's span by power, gathered once; x' gets a zero
+    # u**5 coefficient, so that one Horner loop evaluates x and x' exactly
+    table = np.zeros((ORDER, 3, len(polys)))
+    table[:, 0] = xs.T
+    table[:-1, 1] = pp_derivative(xs).T
+    table[:, 2] = polys[..., 1].T
+    brackets += per_curve * np.arange(len(brackets))[:, None]
+    coeffs = np.take(table, brackets, axis=2)  # (6, 3, g, N)
     for _ in range(NEWTON_STEPS):
-        step = horner(x_coeffs, us)
+        step, slope = horner(coeffs[:, :2], us)
         step -= days
-        step /= horner(slope_coeffs, us)
+        step /= slope
         us -= step
         us.clip(0.0, 1.0, out=us)
     us[days < controls[:, :1, 0]] = 0.0  # x(0) and x(1) are the end controls' x
     us[days > controls[:, -1:, 0]] = 1.0
-    return pp_eval(ys, spans, us)
+    return horner(coeffs[:, 2], us)
 
 
 def _mean_square(signal: np.ndarray, f: np.ndarray) -> float:
@@ -361,14 +383,16 @@ def fit(
 
     points = data_points(f)
     params = chord_length_params(points)
-    per_stack = min(grid.size, max(1, WORK_BYTES // (DESIGN_ROW_BYTES * f.size)))
+    per_stack = min(grid.size, max(1, STACK_ROWS // f.size))
     design = np.empty((per_stack, f.size, NUM_PIECEWISE_BASIS))
     scores: list[tuple[float, float]] = []
     best = None  # (mse, omega, controls, discretized) of the best candidate so far
     for start in range(0, grid.size, per_stack):
         stack = grid[start : start + per_stack]
         stack_scores = np.full(stack.size, math.inf)
-        passed = np.flatnonzero(_full_rank(params, stack))  # gate (a)
+        right, tau = _segment_params(params, stack)
+        spans = _knot_spans(tau)
+        passed = np.flatnonzero(_full_rank(right, tau, spans))  # gate (a)
         if passed.size:
             design_stack = assemble_design(params, stack[passed], design[: passed.size])
             controls = solve_normal_equations(design_stack, points)
@@ -376,7 +400,7 @@ def fit(
             increasing = np.all(np.diff(controls[..., 0], axis=-1) > 0.0, axis=-1)
             passed, controls = passed[increasing], controls[increasing]
         if passed.size:
-            signals = _day_values(stack[passed], controls, params)
+            signals = _day_values(controls, right[passed], tau[passed], spans[passed])
             for i, control, signal in zip(passed, controls, signals):
                 stack_scores[i] = score = _mean_square(signal, f)
                 omega = float(stack[i])

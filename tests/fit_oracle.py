@@ -15,6 +15,9 @@ candidate fails raises.
 
 `bisect_day_values` is the exact rule by bisection, the reference for the
 Newton iteration `fit` uses: day k takes y(t) where x(t) = k.
+`day_values_loop` is that iteration as `fit` ran it with one `searchsorted`
+call per curve and one Horner loop each for x and x'; `fit`'s one-call
+search and fused x, x' evaluation must give its values bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +25,17 @@ from __future__ import annotations
 import numpy as np
 
 from qdfit import fitting
-from qdfit.basis import NUM_PIECEWISE_BASIS
+from qdfit.basis import (
+    NUM_PIECEWISE_BASIS,
+    NUM_SPANS,
+    _knot_spans,
+    _segment_params,
+    horner,
+    piecewise_spans,
+    pp_curve,
+    pp_derivative,
+    pp_eval,
+)
 from qdfit.fitting import (
     FitResult,
     IllConditionedError,
@@ -57,7 +70,7 @@ def fit_loop(data, omega_grid=None) -> FitResult:
             scores.append((omega, float("inf")))
             continue
         curve = PiecewiseCurve(omega, controls)
-        discretized = fitting._day_values(np.array([omega]), controls[None], params)[0]
+        discretized = day_values(np.array([omega]), controls[None], params)[0]
         score = mse(discretized, f)
         scores.append((omega, score))
         if best is None or (score, omega) < best[:2]:
@@ -87,3 +100,41 @@ def bisect_day_values(curve: PiecewiseCurve, n_days: int, halvings: int = 60) ->
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return curve.at(0.5 * (lo + hi))[:, 1]
+
+
+def split(params: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The split of params at each omega that `fit` computes once per stack
+    for `fitting._full_rank` and `fitting._day_values`."""
+    right, tau = _segment_params(params, omegas)
+    return right, tau, _knot_spans(tau)
+
+
+def day_values(omegas: np.ndarray, controls: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """`fitting._day_values` for g curves given by omegas (g,) and controls (g, 29, 2)."""
+    return fitting._day_values(controls, *split(params, omegas))
+
+
+def day_values_loop(omegas: np.ndarray, controls: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """`day_values` with one span search per curve and x, x' evaluated apart."""
+    polys = pp_curve(controls)
+    xs, ys = polys[..., 0], polys[..., 1]
+    days = np.arange(1.0, params.size + 1)
+    per_curve = 2 * NUM_SPANS
+    starts = xs[:, 0].reshape(-1, per_curve)
+    spans = np.stack([np.searchsorted(x_starts, days, side="right") for x_starts in starts]) - 1
+    spans.clip(0, per_curve - 1, out=spans)
+    spans += per_curve * np.arange(len(starts))[:, None]
+    chord_spans, us = piecewise_spans(params, omegas)
+    us += chord_spans - spans
+    us.clip(0.0, 1.0, out=us)
+    x_coeffs = np.moveaxis(np.take(xs, spans, axis=0), -1, 0)
+    slope_coeffs = np.moveaxis(np.take(pp_derivative(xs), spans, axis=0), -1, 0)
+    for _ in range(fitting.NEWTON_STEPS):
+        step = horner(x_coeffs, us)
+        step -= days
+        step /= horner(slope_coeffs, us)
+        us -= step
+        us.clip(0.0, 1.0, out=us)
+    us[days < controls[:, :1, 0]] = 0.0
+    us[days > controls[:, -1:, 0]] = 1.0
+    return pp_eval(ys, spans, us)

@@ -179,6 +179,20 @@ class TestFitCommand:
         assert code == 1
         assert "at least 29" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "window",
+        [["--begin", "9999-12-30"], ["--begin", "2020-02-01", "--days", "1000000000"]],
+    )
+    def test_window_past_the_calendar_rejected(self, tmp_path, monkeypatch, capsys, window):
+        # the end date --days implies overflows date or timedelta
+        monkeypatch.chdir(tmp_path)
+        _write_csv(tmp_path / "data.csv", ["confirmed"])
+        assert main(["fit", "--input", "data.csv", "--column", "confirmed", *window]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a window of ") and "leaves the calendar" in err
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
     def test_bad_omega_bounds(self, tmp_path, capsys):
         csv_path = tmp_path / "data.csv"
         _write_csv(csv_path, ["confirmed"])

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 import qdfit.basis as basis
 import qdfit.cli
 import qdfit.fitting as fitting
-from fit_oracle import bisect_day_values, fit_loop
+from fit_oracle import bisect_day_values, day_values, day_values_loop, fit_loop, split
 from golden_cases import TRIM, _waves, run_scenario, scenarios
 from qdfit.fitting import (
     IllConditionedError,
@@ -42,12 +42,13 @@ def two_bump(n_days):
 
 
 def per_stack(n_days):
-    """Candidates per stack: design rows within the byte budget."""
-    return max(1, fitting.WORK_BYTES // (fitting.DESIGN_ROW_BYTES * n_days))
+    """Candidates per stack: design rows within the row budget."""
+    return max(1, fitting.STACK_ROWS // n_days)
 
 
 @pytest.mark.parametrize("n_days", [29, 60, 120, 250, 500, 2000])
 def test_default_grid_matches_loop(n_days):
+    # the 81 candidates fill no whole number of stacks below 2000 days
     f = two_bump(n_days)
     assert_same_fit(fit(f), fit_loop(f))
 
@@ -74,7 +75,7 @@ def test_grid_not_a_multiple_of_the_chunk():
     f = rng.random(60) + 0.05
     f /= f.sum()
     size = per_stack(f.size)
-    grid = np.round(0.12 + 0.02 * np.arange(2 * size + 3), 12)
+    grid = np.round(0.12 + 0.01 * np.arange(2 * size + 3), 12)
     assert 1 < size and grid.size % size != 0
     assert grid[-1] < 1.0
     result = fit(f, grid)
@@ -116,15 +117,14 @@ def test_basis_evaluated_once_per_chunk(monkeypatch):
 
 @pytest.mark.parametrize("n_days", [29, 120, 500, 2000])
 def test_stacks_stay_within_the_row_budget(n_days, monkeypatch):
-    # a stack charges each design row DESIGN_ROW_BYTES; a stack of one
-    # candidate may exceed the budget.  Gate (a) sees the whole stack, the
-    # design only its full-rank candidates
+    # a stack of one candidate may exceed the row budget.  Gate (a) sees
+    # the whole stack, the design only its full-rank candidates
     real_rank, real_design = fitting._full_rank, fitting.assemble_design
     stacks, designs = [], []
 
-    def recording_rank(params, omegas):
-        stacks.append((omegas.size, params.size))
-        return real_rank(params, omegas)
+    def recording_rank(right, tau, spans):
+        stacks.append(tau.shape)
+        return real_rank(right, tau, spans)
 
     def recording_design(params, omega, out=None):
         designs.append(np.size(omega))
@@ -137,10 +137,10 @@ def test_stacks_stay_within_the_row_budget(n_days, monkeypatch):
     assert len(stacks) == math.ceil(grid_size / per_stack(n_days))
     for candidates, rows in stacks:
         assert rows == n_days
-        assert candidates == 1 or candidates * rows * fitting.DESIGN_ROW_BYTES <= fitting.WORK_BYTES
+        assert candidates == 1 or candidates * rows <= fitting.STACK_ROWS
     params = chord_length_params(data_points(two_bump(n_days)))
     assert len(designs) <= len(stacks)
-    assert sum(designs) == real_rank(params, default_omega_grid()).sum()
+    assert sum(designs) == real_rank(*split(params, default_omega_grid())).sum()
     assert len(result.omega_grid_scores) == grid_size
 
 
@@ -163,7 +163,7 @@ def _gate_matches_rank(f):
     params = chord_length_params(data_points(f))
     grid = default_omega_grid()
     rank = [np.linalg.matrix_rank(assemble_design(params, omega)) for omega in grid]
-    np.testing.assert_array_equal(fitting._full_rank(params, grid), np.equal(rank, 29))
+    np.testing.assert_array_equal(fitting._full_rank(*split(params, grid)), np.equal(rank, 29))
 
 
 @pytest.mark.parametrize("scenario", scenarios(), ids=lambda s: s.name)
@@ -195,12 +195,50 @@ def test_newton_matches_bisection_on_random_fits(values, omega):
     f = np.asarray(values) + 1e-3
     points = data_points(f / f.sum())
     params = chord_length_params(points)
-    assume(fitting._full_rank(params, np.array([omega]))[0])
+    assume(fitting._full_rank(*split(params, np.array([omega])))[0])
     controls = solve_normal_equations(assemble_design(params, omega), points)
     assume(np.all(np.diff(controls[:, 0]) > 0.0))
-    newton = fitting._day_values(np.array([omega]), controls[None], params)[0]
+    newton = day_values(np.array([omega]), controls[None], params)[0]
     expected = bisect_day_values(PiecewiseCurve(omega, controls), f.size)
     assert np.abs(newton - expected).max() <= 1e-12 * np.abs(controls[:, 1]).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=29, max_size=300),
+    st.lists(st.sampled_from(list(default_omega_grid())), min_size=1, max_size=12),
+)
+def test_day_values_match_the_per_curve_loop(values, omegas):
+    # one search per stack and one Horner loop for x and x' together give,
+    # bit for bit, what a search per curve and two Horner loops give
+    f = np.asarray(values) + 1e-3
+    points = data_points(f / f.sum())
+    params = chord_length_params(points)
+    omegas = np.asarray(omegas)
+    omegas = omegas[fitting._full_rank(*split(params, omegas))]
+    assume(omegas.size)
+    controls = solve_normal_equations(assemble_design(params, omegas), points)
+    increasing = np.all(np.diff(controls[..., 0], axis=-1) > 0.0, axis=-1)
+    assume(increasing.any())
+    omegas, controls = omegas[increasing], controls[increasing]
+    np.testing.assert_array_equal(
+        day_values(omegas, controls, params), day_values_loop(omegas, controls, params)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(["left", "right"]))
+def test_one_call_search_matches_the_per_row_loop(data, side):
+    # small bounds give the ties within a row and the repeated values that
+    # the row offsets must keep apart
+    bound = data.draw(st.integers(min_value=1, max_value=40))
+    width = data.draw(st.integers(min_value=1, max_value=8))
+    keys = st.integers(min_value=0, max_value=bound - 1)
+    sorted_row = st.lists(keys, min_size=width, max_size=width).map(sorted)
+    rows = np.asarray(data.draw(st.lists(sorted_row, min_size=1, max_size=6)))
+    values = np.asarray(data.draw(st.lists(keys, min_size=1, max_size=12)))
+    expected = np.stack([np.searchsorted(row, values, side=side) for row in rows])
+    np.testing.assert_array_equal(fitting._search_rows(rows, values, side, bound), expected)
 
 
 GRID = np.round(0.1 + 0.05 * np.arange(17), 12)

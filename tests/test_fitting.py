@@ -21,7 +21,7 @@ from qdfit.fitting import (
     sample_curve,
     solve_normal_equations,
 )
-from fit_oracle import bisect_day_values
+from fit_oracle import bisect_day_values, day_values
 from synthetic import greville_abscissae, linear_day_curve, roundtrip_data, two_bump_counts
 
 
@@ -224,18 +224,18 @@ class TestFusedDiscretization:
 
     @staticmethod
     def fused(curve, params):
-        out = fitting._day_values(np.array([curve.omega]), curve.controls[None], params)[0]
+        out = day_values(np.array([curve.omega]), curve.controls[None], params)[0]
         np.testing.assert_allclose(
             out, bisect_day_values(curve, params.size), rtol=0.0, atol=1e-12 * np.abs(curve.controls).max()
         )
         # the same curve inside a stack of curves gives the same row
         others = PiecewiseCurve(0.55, curve.controls * [1.0, -1.0] + [0.25, 1.0])
-        stacked = fitting._day_values(
+        stacked = day_values(
             np.array([others.omega, curve.omega]), np.stack([others.controls, curve.controls]), params
         )
         np.testing.assert_array_equal(stacked[1], out)
         np.testing.assert_array_equal(
-            stacked[0], fitting._day_values(np.array([others.omega]), others.controls[None], params)[0]
+            stacked[0], day_values(np.array([others.omega]), others.controls[None], params)[0]
         )
         return out
 
@@ -448,9 +448,10 @@ class TestFit:
         # fit in one process reuses the heap instead of faulting it in again
         # (about 33k minor faults at 2000 days when every candidate allocated
         # its own temporaries and the heap top went back to the OS in between);
-        # at 500 days a stack holds two candidates, at 2000 days one
+        # a stack holds 17 candidates at 120 days, 8 at 250, 4 at 500 and one
+        # at 2000
         resource = pytest.importorskip("resource")
-        for n_days in (500, 2000):
+        for n_days in (120, 250, 500, 2000):
             f = np.random.default_rng(19).random(n_days) + 0.1
             f /= f.sum()
             fit(f)
@@ -566,7 +567,7 @@ class TestFit:
         f /= f.sum()
         grid = [0.2, 0.5, 0.35, 0.8]
         # one stack holds the whole grid
-        assert fitting.WORK_BYTES // (fitting.DESIGN_ROW_BYTES * f.size) >= len(grid)
+        assert fitting.STACK_ROWS // f.size >= len(grid)
         clean, runner_up = fit(f, grid), fit(f, [0.35])
         monkeypatch.setattr(fitting, "assemble_design", zero_at_half)
         result = fit(f, grid)
