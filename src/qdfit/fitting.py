@@ -70,9 +70,10 @@ NEWTON_STEPS = 3
 
 # design rows per stack: a stack holds max(1, STACK_ROWS // N) candidates of
 # an N-day window, and the design stack is allocated once per fit.  Each
-# stacked step costs a few numpy calls whatever the stack's size, so larger
-# stacks are faster; at twice this the lib-fit-windows benchmark workload's
-# peak RSS grew by 1.8 MB (4.7%), at this size by about 0.6 MB
+# stacked step costs a fixed number of numpy calls, so larger stacks are
+# faster but take more memory: on the lib-fit-windows benchmark workload
+# (2-vCPU Xeon) peak RSS was 0.6 MB (1.4%) higher at this size than at 1040
+# rows, and 1.9 MB (4.8%) higher at twice this size
 STACK_ROWS = 2048
 
 
