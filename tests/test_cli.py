@@ -203,6 +203,19 @@ class TestFitCommand:
         assert code == 1
         assert "omega" in capsys.readouterr().err
 
+    def test_omega_step_too_fine_rejected(self, tmp_path, monkeypatch, capsys):
+        # 1e-9 would make an 800-million-candidate grid; it is refused unallocated
+        monkeypatch.chdir(tmp_path)
+        start, n_days = _write_csv(tmp_path / "data.csv", ["confirmed"])
+        code = main(
+            ["fit", "--input", "data.csv", "--column", "confirmed", "--begin", start.isoformat(),
+             "--days", str(n_days), "--omega-step", "1e-9"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: omega grid step 1e-09 gives 8e+08 candidates, more than 100000\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
     def test_omega_grid_stays_within_its_bounds(self, tmp_path):
         # 0.05 + 8 * 0.02 = 0.21 would pass --omega-max 0.2
         csv_path = tmp_path / "data.csv"

@@ -613,6 +613,15 @@ class TestFit:
             default_omega_grid(step=float("nan"))
         with pytest.raises(ValueError):
             default_omega_grid(0.0, 0.9)
+        # a step this fine would allocate 6.4 GB; the count is checked first
+        with pytest.raises(ValueError, match=r"step 1e-09 gives 8e\+08 candidates, more than 100000"):
+            default_omega_grid(step=1e-9)
+        with pytest.raises(ValueError, match="inf candidates"):
+            default_omega_grid(step=5e-324)
+        most = fitting.MAX_OMEGA_CANDIDATES
+        assert default_omega_grid(0.1, 0.9, 0.8 / (most - 1)).size == most
+        with pytest.raises(ValueError, match=f"gives {most + 1} candidates"):
+            default_omega_grid(0.1, 0.9, 0.8 / most)
 
     def test_grid_never_passes_its_upper_bound(self):
         # (0.65 - 0.1) / 0.3 rounds to 2 steps, which would end the grid at 0.7

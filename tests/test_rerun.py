@@ -1,6 +1,6 @@
 """Reruns are byte-identical: the same window gives the same report JSON and
 panel SVG bytes, within one process and across processes whose string
-hashing differs."""
+hashing or BLAS thread count differs."""
 
 import os
 import subprocess
@@ -65,12 +65,14 @@ def test_cli_reruns_are_byte_identical_across_hash_seeds(tmp_path):
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     src = os.path.dirname(os.path.dirname(qdfit.__file__))
     outputs = []
-    for seed in ("0", "4242"):
+    # the third run loads OpenBLAS with two threads, not the one `import qdfit` sets
+    for seed, blas in (("0", {}), ("4242", {}), ("7", {"OPENBLAS_NUM_THREADS": "2"})):
         json_out, svg_out = tmp_path / f"{seed}.json", tmp_path / f"{seed}.svg"
         env = dict(
             os.environ,
             PYTHONHASHSEED=seed,
             PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            **blas,
         )
         subprocess.run(
             [sys.executable, "-m", "qdfit.cli", "fit", "--input", str(csv_path), "--column", "confirmed",
@@ -79,4 +81,4 @@ def test_cli_reruns_are_byte_identical_across_hash_seeds(tmp_path):
             env=env, capture_output=True, check=True,
         )
         outputs.append((json_out.read_bytes(), svg_out.read_bytes()))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
