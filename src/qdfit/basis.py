@@ -29,7 +29,8 @@ so that a fit scores many segmentation points per call.  Every row is
 computed exactly as for one curve, so the stacked results equal the
 per-curve ones bit for bit.  `piecewise_basis_matrix` writes into an array
 the caller passes as `out`, so that a fit can reuse one design stack for
-all its stacks of candidates.
+all its stacks of candidates, and takes the split of the parameters that
+the fit has computed already as `split`.
 
 Convention: basis supports are half-open on the right, except that the
 span ending at the domain end is closed there, so the last basis function
@@ -47,6 +48,9 @@ ORDER = DEGREE + 1
 NUM_QUASI_BASIS = 15
 NUM_PIECEWISE_BASIS = 29
 NUM_SPANS = NUM_QUASI_BASIS - DEGREE  # knot spans of the base family
+# design rows per `_basis_values` call in `piecewise_basis_matrix`: its work
+# block takes 168 bytes a row, so a slice bounds it at 344 KB
+SLICE_ROWS = 2048
 
 
 def make_knot_vector() -> np.ndarray:
@@ -148,33 +152,48 @@ def _check_omega(omega) -> np.ndarray:
     return omega
 
 
-def piecewise_basis_matrix(ts: np.ndarray, omega, out: np.ndarray | None = None) -> np.ndarray:
+def piecewise_basis_matrix(
+    ts: np.ndarray,
+    omega,
+    out: np.ndarray | None = None,
+    split: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Two-piece design matrix: row k holds the 29 basis values at ts[k].
 
     For a 1-D array of g omegas the result is the stack (g, len(ts), 29)
     of the matrices for each omega.  `out`, if given, is an array of the
-    result's shape that the result is written into.
+    result's shape that the result is written into.  `split`, if given, is
+    `_segment_params(ts, omega)` as a caller has computed it already; it is
+    used as given, not checked or computed again.
+
+    The rows are built SLICE_ROWS at a time, each slice's basis values
+    written straight into its rows, so that the evaluator's work block
+    stays small however many rows the stack holds.
     """
-    right, tau = _segment_params(_check_params(ts), _check_omega(omega))
-    shape = right.shape + (NUM_PIECEWISE_BASIS,)
+    if split is None:
+        split = _segment_params(_check_params(ts), _check_omega(omega))
+    shape = split[0].shape + (NUM_PIECEWISE_BASIS,)
     design = np.empty(shape) if out is None else out
     if design.shape != shape or not design.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous array of shape {shape}")
-    right, tau = right.reshape(-1), tau.reshape(-1)
-    spans = _knot_spans(tau)
-    vals = _basis_values(tau, spans)
-    np.add(spans, NUM_QUASI_BASIS - 1, out=spans, where=right)  # right functions are 14..28
-    design.fill(0.0)
-    return _scatter_rows(vals, spans, design)
+    rows = design.reshape(-1, NUM_PIECEWISE_BASIS)
+    right, tau, spans = (part.reshape(-1) for part in split)
+    for start in range(0, len(rows), SLICE_ROWS):
+        part = slice(start, start + SLICE_ROWS)
+        first = (NUM_QUASI_BASIS - 1) * right[part]  # right functions are 14..28
+        first += spans[part]
+        rows[part].fill(0.0)
+        _scatter_rows(_basis_values(tau[part], spans[part]), first, rows[part])
+    return design
 
 
-def _segment_params(ts: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _segment_params(ts: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split parameters at omega: t < omega goes to the left segment.
 
-    Returns the right-segment mask and each t's segment parameter tau,
-    t/omega on the left and (t - omega)/(1 - omega) on the right, with
-    one row per omega when omega is a 1-D array.  Both sides are computed
-    everywhere and selected by the mask.
+    Returns the split: the right-segment mask, each t's segment parameter
+    tau, t/omega on the left and (t - omega)/(1 - omega) on the right, and
+    tau's `_knot_spans`, with one row per omega when omega is a 1-D array.
+    Both sides are computed everywhere and selected by the mask.
     """
     omega = omega[..., None]
     right = ts >= omega  # is ~(ts < omega): parameters are checked, never NaN
@@ -182,7 +201,7 @@ def _segment_params(ts: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.n
     right_tau = ts - omega
     right_tau /= 1.0 - omega
     np.copyto(tau, right_tau, where=right)
-    return right, tau
+    return right, tau, _knot_spans(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +241,7 @@ def piecewise_spans(ts: np.ndarray, omega) -> tuple[np.ndarray, np.ndarray]:
     """
     omega = _check_omega(omega)
     ts = _check_params(ts)
-    right, us = _segment_params(ts, omega)
-    spans = _knot_spans(us)
+    right, us, spans = _segment_params(ts, omega)
     us *= NUM_SPANS
     us -= spans
     np.add(spans, NUM_SPANS, out=spans, where=right)

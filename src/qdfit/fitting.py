@@ -20,9 +20,11 @@ winner, and every choice gives the same day values.
 A stack holds as many candidates as have STACK_ROWS design rows between
 them (at least one), and `fit` allocates the design stack once per fit, so
 that its memory is not given back to the OS and faulted in again between
-stacks.  Each step costs a fixed number of numpy calls per stack: the
-parameters are split at the stack's omegas once, for gate (a) and the
-Newton start, and each binary search runs once over all the stack's rows.
+stacks.  Once a stack is solved its design is dead, and the day values
+gather their coefficients into the same buffer.  Each step costs a fixed
+number of numpy calls per stack: the parameters are split at the stack's
+omegas once, for gate (a), the design and the Newton start, and each
+binary search runs once over all the stack's rows.
 Every stacked step is elementwise or runs the same BLAS/LAPACK routine per
 candidate, so the results equal those of fitting one candidate at a time,
 bit for bit.  `fit_fixed_omega` is `fit` on a one-candidate grid.
@@ -43,7 +45,6 @@ from .basis import (
     NUM_SPANS,
     ORDER,
     _check_omega,
-    _knot_spans,
     _segment_params,
     horner,
     piecewise_basis_matrix,
@@ -74,10 +75,13 @@ NEWTON_STEPS = 3
 # design rows per stack: a stack holds max(1, STACK_ROWS // N) candidates of
 # an N-day window, and the design stack is allocated once per fit.  Each
 # stacked step costs a fixed number of numpy calls, so larger stacks are
-# faster but take more memory: on the lib-fit-windows benchmark workload
-# (2-vCPU Xeon) peak RSS was 0.6 MB (1.4%) higher at this size than at 1040
-# rows, and 1.9 MB (4.8%) higher at twice this size
-STACK_ROWS = 2048
+# faster but take more memory.  A fit's peak is 330-390 bytes a stacked
+# row (the design itself takes 232), plus 13 KB a candidate for the Gram
+# matrices and their factors, which sets the peak at 60 days.  On the
+# lib-fit-windows benchmark workload (2-vCPU Xeon) peak RSS was 0.8 MB
+# (1.9%) above that of 2048 rows.  6144 rows fitted its windows about 3%
+# faster, and raised the 120-day peak from 1.9 to 2.3 MB
+STACK_ROWS = 5120
 
 
 class IllConditionedError(RuntimeError):
@@ -148,13 +152,15 @@ def chord_length_params(points: np.ndarray) -> np.ndarray:
     return cumulative / cumulative[-1]
 
 
-def assemble_design(params: np.ndarray, omega, out: np.ndarray | None = None) -> np.ndarray:
+def assemble_design(params: np.ndarray, omega, out: np.ndarray | None = None, split=None) -> np.ndarray:
     """Design matrix phi with phi[k, i] = N_i(t_k; omega), shape (N, 29).
 
     For a 1-D array of g omegas it is the stack (g, N, 29).  `out`, if
-    given, is an array of the result's shape that it is written into.
+    given, is an array of the result's shape that it is written into, and
+    `split`, if given, the params' split at the omegas that `fit` has
+    computed already (see `piecewise_basis_matrix`).
     """
-    return piecewise_basis_matrix(np.asarray(params, dtype=float), omega, out)
+    return piecewise_basis_matrix(np.asarray(params, dtype=float), omega, out, split)
 
 
 def _search_rows(rows: np.ndarray, values: np.ndarray, side: str, bound: int) -> np.ndarray:
@@ -174,8 +180,8 @@ def _search_rows(rows: np.ndarray, values: np.ndarray, side: str, bound: int) ->
 def _full_rank(right: np.ndarray, tau: np.ndarray, spans: np.ndarray) -> np.ndarray:
     """Gate (a): which omegas give `assemble_design(params, omega)` full
     column rank, for increasing params; one bool per omega.  It takes the
-    design's split of the params at the omegas: the right-segment mask and
-    segment parameters of `_segment_params` and their `_knot_spans`, (g, N).
+    design's split of the params at the omegas: the right-segment mask,
+    segment parameters and knot spans of `_segment_params`, (g, N).
 
     Schoenberg-Whitney (de Boor, A Practical Guide to Splines, ch. XIII):
     full rank if and only if N_0..N_28 can take, in order, strictly
@@ -280,12 +286,18 @@ def discretize(samples: np.ndarray, n_days: int) -> np.ndarray:
 
 
 def _day_values(
-    controls: np.ndarray, right: np.ndarray, tau: np.ndarray, spans: np.ndarray
+    controls: np.ndarray,
+    right: np.ndarray,
+    tau: np.ndarray,
+    spans: np.ndarray,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """The exact rule, y(t*_k) where x(t*_k) = k for days k = 1..N: (g, N)
     values for g curves, given their controls (g, 29, 2) with increasing x
     and the split of the chord-length parameters t_k at their omegas, as
-    `_full_rank` takes it.
+    `_full_rank` takes it.  `work`, if given, is a C-contiguous float array
+    of at least 18 g N elements that may be overwritten, such as the
+    design stack once it is solved; the coefficient gather goes into it.
 
     Day k is solved on the last span whose start x is <= k, in its local
     u in [0, 1], by NEWTON_STEPS steps from t_k's u, each clamped to [0, 1].
@@ -314,7 +326,13 @@ def _day_values(
     table[:-1, 1] = pp_derivative(xs).T
     table[:, 2] = polys[..., 1].T
     brackets += per_curve * np.arange(len(brackets))[:, None]
-    coeffs = np.take(table, brackets, axis=2)  # (6, 3, g, N)
+    shape = (ORDER, 3) + brackets.shape
+    if work is not None:
+        work = work.reshape(-1)[: math.prod(shape)].reshape(shape)
+    # mode="clip" (the brackets are in range anyway): with out= and the
+    # default mode="raise", numpy gathers into a temporary copy of the
+    # whole output and then copies it over
+    coeffs = np.take(table, brackets, axis=2, out=work, mode="clip")  # (6, 3, g, N)
     for _ in range(NEWTON_STEPS):
         step, slope = horner(coeffs[:, :2], us)
         step -= days
@@ -324,6 +342,12 @@ def _day_values(
     us[days < controls[:, :1, 0]] = 0.0  # x(0) and x(1) are the end controls' x
     us[days > controls[:, -1:, 0]] = 1.0
     return horner(coeffs[:, 2], us)
+
+
+def _kept_rows(arrays: tuple[np.ndarray, ...], keep: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows `keep` (a bool mask) of each array; the arrays themselves,
+    not copies, when every row is kept, as every row mostly is."""
+    return arrays if keep.all() else tuple(array[keep] for array in arrays)
 
 
 def _mean_square(signal: np.ndarray, f: np.ndarray) -> float:
@@ -402,17 +426,19 @@ def fit(
     for start in range(0, grid.size, per_stack):
         stack = grid[start : start + per_stack]
         stack_scores = np.full(stack.size, math.inf)
-        right, tau = _segment_params(params, stack)
-        spans = _knot_spans(tau)
-        passed = np.flatnonzero(_full_rank(right, tau, spans))  # gate (a)
+        split = _segment_params(params, stack)
+        full_rank = _full_rank(*split)  # gate (a)
+        passed = np.flatnonzero(full_rank)
         if passed.size:
-            design_stack = assemble_design(params, stack[passed], design[: passed.size])
+            split = _kept_rows(split, full_rank)
+            design_stack = assemble_design(params, stack[passed], design[: passed.size], split)
             controls = solve_normal_equations(design_stack, points)
             # gate (b); a failed solve left NaN controls, which fail it too
             increasing = np.all(np.diff(controls[..., 0], axis=-1) > 0.0, axis=-1)
-            passed, controls = passed[increasing], controls[increasing]
+            passed, controls, *split = _kept_rows((passed, controls, *split), increasing)
         if passed.size:
-            signals = _day_values(controls, right[passed], tau[passed], spans[passed])
+            # the design is dead once solved: the day values gather into it
+            signals = _day_values(controls, *split, work=design)
             for i, control, signal in zip(passed, controls, signals):
                 stack_scores[i] = score = _mean_square(signal, f)
                 omega = float(stack[i])

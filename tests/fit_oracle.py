@@ -28,7 +28,6 @@ from qdfit import fitting
 from qdfit.basis import (
     NUM_PIECEWISE_BASIS,
     NUM_SPANS,
-    _knot_spans,
     _segment_params,
     horner,
     piecewise_spans,
@@ -105,8 +104,7 @@ def bisect_day_values(curve: PiecewiseCurve, n_days: int, halvings: int = 60) ->
 def split(params: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The split of params at each omega that `fit` computes once per stack
     for `fitting._full_rank` and `fitting._day_values`."""
-    right, tau = _segment_params(params, omegas)
-    return right, tau, _knot_spans(tau)
+    return _segment_params(params, omegas)
 
 
 def day_values(omegas: np.ndarray, controls: np.ndarray, params: np.ndarray) -> np.ndarray:

@@ -70,9 +70,11 @@ def test_golden_inputs_match_loop(scenario, tmp_path, monkeypatch):
 
 
 def test_grid_not_a_multiple_of_the_chunk():
-    # the grid is scored a stack of candidates at a time; the last is short
+    # the grid is scored a stack of candidates at a time; the last is short.
+    # The window is long enough that a stack holds about 40 candidates, so
+    # that two stacks and a bit fit inside (0, 1) at steps of 0.01
     rng = np.random.default_rng(41)
-    f = rng.random(60) + 0.05
+    f = rng.random(fitting.STACK_ROWS // 40) + 0.05
     f /= f.sum()
     size = per_stack(f.size)
     grid = np.round(0.12 + 0.01 * np.arange(2 * size + 3), 12)
@@ -126,9 +128,9 @@ def test_stacks_stay_within_the_row_budget(n_days, monkeypatch):
         stacks.append(tau.shape)
         return real_rank(right, tau, spans)
 
-    def recording_design(params, omega, out=None):
+    def recording_design(params, omega, out=None, split=None):
         designs.append(np.size(omega))
-        return real_design(params, omega, out)
+        return real_design(params, omega, out, split)
 
     monkeypatch.setattr(fitting, "_full_rank", recording_rank)
     monkeypatch.setattr(fitting, "assemble_design", recording_design)

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,21 @@ class TestDesignMatrix:
         design = assemble_design(params, 0.62)
         left = params < 0.62
         assert np.abs(design[left][:, 15:]).max() == 0.0
+
+    def test_slices_and_given_split_build_the_same_design(self, monkeypatch):
+        # the basis is evaluated SLICE_ROWS rows at a time; slices that cut
+        # across candidates, and a split passed in instead of computed, must
+        # give the whole design bit for bit
+        rng = np.random.default_rng(5)
+        params = np.concatenate([[0.0], np.sort(rng.random(48)), [1.0]])
+        omegas = np.array([0.21, 0.5, 0.77])
+        whole = assemble_design(params, omegas)
+        monkeypatch.setattr(basis, "SLICE_ROWS", 7)
+        np.testing.assert_array_equal(assemble_design(params, omegas), whole)
+        split = basis._segment_params(params, omegas)
+        out = np.full_like(whole, np.nan)
+        assert assemble_design(params, omegas, out, split) is out
+        np.testing.assert_array_equal(out, whole)
 
     def test_nan_points_rejected(self):
         # chord lengths through a NaN point are NaN, and so are the parameters
@@ -447,9 +463,11 @@ class TestFit:
         # a fit allocates its large arrays once, not per candidate, so a second
         # fit in one process reuses the heap instead of faulting it in again
         # (about 33k minor faults at 2000 days when every candidate allocated
-        # its own temporaries and the heap top went back to the OS in between);
-        # a stack holds 17 candidates at 120 days, 8 at 250, 4 at 500 and one
-        # at 2000
+        # its own temporaries and the heap top went back to the OS in between).
+        # A stack holds 42 candidates at 120 days, 20 at 250, 10 at 500 and 2
+        # at 2000.  The second fit of a process may still grow the heap once,
+        # when the first fit's mmap-ed design raised glibc's mmap threshold;
+        # from then on a repeated fit takes no minor faults
         resource = pytest.importorskip("resource")
         for n_days in (120, 250, 500, 2000):
             f = np.random.default_rng(19).random(n_days) + 0.1
@@ -457,7 +475,29 @@ class TestFit:
             fit(f)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             fit(f)
-            assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 5000, n_days
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert after - before < 5000, n_days
+            fit(f)
+            assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - after < 64, n_days
+
+    def test_peak_memory_per_stacked_row(self):
+        # a fit's transient memory per design row of a full stack: the design
+        # takes 232 bytes a row, and the rest is bounded because the design is
+        # built from the fit's own split in slices, and the day values gather
+        # into the solved design.  Without those cuts a fit took 515-530
+        # bytes a row at these lengths
+        for n_days in (500, 2000):
+            f = np.random.default_rng(23).random(n_days) + 0.1
+            f /= f.sum()
+            fit(f)  # the one-time pp table is not a stack's memory
+            rows = max(1, fitting.STACK_ROWS // n_days) * n_days
+            tracemalloc.start()
+            try:
+                fit(f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 400 * rows, (n_days, peak / rows)
 
     def test_singleton_grid(self):
         f = np.full(60, 1.0 / 60)
@@ -516,9 +556,9 @@ class TestFit:
         real_design, real_cholesky = fitting.assemble_design, fitting._cholesky
         assembled, stacks, factorized = [], [], []
 
-        def recording(params, omega, out=None):
+        def recording(params, omega, out=None, split=None):
             assembled.extend(np.atleast_1d(omega).tolist())
-            return real_design(params, omega, out)
+            return real_design(params, omega, out, split)
 
         def flaky(gram):
             if gram.ndim == 3:
@@ -557,8 +597,8 @@ class TestFit:
         # (0.2 and 0.8 fail gate (a) here and are not assembled)
         real = fitting.assemble_design
 
-        def zero_at_half(params, omega, out=None):
-            design = real(params, omega, out)
+        def zero_at_half(params, omega, out=None, split=None):
+            design = real(params, omega, out, split)
             design[np.atleast_1d(omega) == 0.5] = 0.0
             return design
 
