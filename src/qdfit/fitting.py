@@ -75,12 +75,12 @@ NEWTON_STEPS = 3
 # design rows per stack: a stack holds max(1, STACK_ROWS // N) candidates of
 # an N-day window, and the design stack is allocated once per fit.  Each
 # stacked step costs a fixed number of numpy calls, so larger stacks are
-# faster but take more memory.  A fit's peak is 330-390 bytes a stacked
-# row (the design itself takes 232), plus 13 KB a candidate for the Gram
-# matrices and their factors, which sets the peak at 60 days.  On the
-# lib-fit-windows benchmark workload (2-vCPU Xeon) peak RSS was 0.8 MB
-# (1.9%) above that of 2048 rows.  6144 rows fitted its windows about 3%
-# faster, and raised the 120-day peak from 1.9 to 2.3 MB
+# faster but take more memory.  A fit's peak is 330-410 bytes a stacked
+# row (the design itself takes 232).  While a stack is solved, its Gram
+# matrices and their factors add 13 KB a candidate, which sets the peak at
+# 60 days.  On the lib-fit-windows benchmark workload (2-vCPU Xeon) peak
+# RSS was 0.8 MB (1.9%) above that of 2048 rows.  6144 rows fitted its
+# windows about 3% faster, and raised the 120-day peak from 1.9 to 2.3 MB
 STACK_ROWS = 5120
 
 
