@@ -50,7 +50,6 @@ from .report import (
     emit_json,
     emit_overlay_svg,
     emit_panel_svg,
-    parse_report,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +75,6 @@ __all__ = [
     "load_presets",
     "moving_average_7",
     "parse_csv",
-    "parse_report",
     "preset_window",
     "quasi_distribution",
 ]

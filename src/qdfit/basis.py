@@ -15,17 +15,17 @@ There is one evaluator: `_basis_values` runs the Cox-de Boor recurrence
 over the explicit knot vector, vectorized over all parameters, and
 `quasi_basis_matrix` and `piecewise_basis_matrix` (once on both segments'
 parameters) scatter its nonzeros into design rows.  The fit's design
-matrix goes through it.  Curve evaluation uses the pp-form (piecewise
-power basis) of the same functions: `pp_table` derives it from
+matrix goes through it, and so does `fitting.PiecewiseCurve.at`, the one
+public way to evaluate a curve.  Only the fit's day rule uses the pp-form
+(piecewise power basis) of the same functions: `pp_table` derives it from
 `quasi_basis_matrix` on first use, `pp_curve` folds a curve's controls
-into it, `pp_derivative` differentiates that, `piecewise_spans` locates
-parameters by the same segment and span rules, and `pp_eval` evaluates by
-Horner's rule.  The test suite checks both forms against the explicit
-piecewise polynomials, which live with the tests.
+into it, `pp_derivative` differentiates that, and `horner` evaluates it.
+The test suite checks both forms against the explicit piecewise
+polynomials, which live with the tests.
 
-`piecewise_basis_matrix`, `piecewise_spans` and `pp_curve` also take a
-stack of g curves (a 1-D array of omegas, controls of shape (g, 29, d)),
-so that a fit scores many segmentation points per call.  Every row is
+`piecewise_basis_matrix` and `pp_curve` also take a stack of g curves (a
+1-D array of omegas, controls of shape (g, 29, d)), so that a fit scores
+many segmentation points per call.  Every row is
 computed exactly as for one curve, so the stacked results equal the
 per-curve ones bit for bit.  `piecewise_basis_matrix` writes into an array
 the caller passes as `out`, so that a fit can reuse one design stack for
@@ -229,36 +229,15 @@ def pp_table() -> np.ndarray:
     return table
 
 
-def piecewise_spans(ts: np.ndarray, omega) -> tuple[np.ndarray, np.ndarray]:
-    """Locate parameters for pp-form evaluation of the two-piece family.
-
-    Returns, per t, the span index (0..9 on the left segment, 10..19 on the
-    right) and the local variable u = 10 tau - s on that span, where tau is
-    the segment's parameter from the split `piecewise_basis_matrix` uses.
-    For a 1-D array of g omegas both have shape (g, len(ts)), and row i's
-    spans are offset by 20 i: they index the stack `pp_curve` returns for
-    g controls.
-    """
-    omega = _check_omega(omega)
-    ts = _check_params(ts)
-    right, us, spans = _segment_params(ts, omega)
-    us *= NUM_SPANS
-    us -= spans
-    np.add(spans, NUM_SPANS, out=spans, where=right)
-    if omega.ndim:
-        spans[1:] += 2 * NUM_SPANS * np.arange(1, omega.size)[:, None]
-    return spans, us
-
-
 def pp_curve(controls: np.ndarray) -> np.ndarray:
     """Power-basis coefficients of the curve sum_i N_i C_i per span.
 
     `controls` has shape (29, d), or (g, 29, d) for g curves; the result
-    has shape (20 g, 6, d), entry [span, p] being the u**p coefficient on
-    the spans `piecewise_spans` numbers (curve i owns spans 20 i .. 20 i +
-    19).  Span s of a segment combines that segment's controls s..s+5 (the
-    left segment holds controls 0..14, the right one 14..28) with
-    `pp_table`.
+    has shape (20 g, 6, d), entry [span, p] being the u**p coefficient:
+    curve i owns spans 20 i .. 20 i + 19, 20 i + s being span s of its left
+    segment and 20 i + 10 + s span s of its right one, in u = 10 tau - s.
+    Span s of a segment combines that segment's controls s..s+5 (the left
+    segment holds controls 0..14, the right one 14..28) with `pp_table`.
     """
     windows = np.arange(NUM_SPANS)[:, None] + np.arange(ORDER)
     table = pp_table().transpose(0, 2, 1)
@@ -273,14 +252,6 @@ def pp_derivative(polys: np.ndarray) -> np.ndarray:
     segment and 10/(1 - omega) on the right."""
     powers = np.arange(1, polys.shape[1]).reshape((-1,) + (1,) * (polys.ndim - 2))
     return polys[:, 1:] * powers
-
-
-def pp_eval(polys: np.ndarray, spans: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Evaluate `pp_curve` (or `pp_derivative`) coefficients at `piecewise_spans`
-    output by Horner's rule; the result has shape spans.shape + polys.shape[2:]."""
-    # np.take gathers whole rows; polys[spans] is four times slower here
-    by_power = np.moveaxis(np.take(polys, spans, axis=0), spans.ndim, 0)
-    return horner(by_power, us.reshape(us.shape + (1,) * (polys.ndim - 2)))
 
 
 def horner(by_power, us: np.ndarray) -> np.ndarray:

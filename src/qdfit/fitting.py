@@ -48,10 +48,8 @@ from .basis import (
     _segment_params,
     horner,
     piecewise_basis_matrix,
-    piecewise_spans,
     pp_curve,
     pp_derivative,
-    pp_eval,
 )
 from .ingest import check_window_values
 
@@ -103,9 +101,12 @@ class PiecewiseCurve:
         object.__setattr__(self, "controls", controls)
 
     def at(self, ts: np.ndarray) -> np.ndarray:
-        """Curve points at the given parameters, shape (len(ts), 2)."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return pp_eval(pp_curve(self.controls), *piecewise_spans(ts, self.omega))
+        """Curve points at the given parameters in [0, 1], shape (len(ts), 2).
+
+        The design rows at ts times the controls, so that t = 0, omega and 1
+        give control points 0, 14 and 28 exactly.
+        """
+        return piecewise_basis_matrix(np.atleast_1d(ts), self.omega) @ self.controls
 
 
 @dataclass(frozen=True)
@@ -219,11 +220,10 @@ def solve_normal_equations(design: np.ndarray, points: np.ndarray) -> np.ndarray
 
     Both planar coordinates are solved against the same symmetric
     factorization.  For one (N, 29) design it returns (29, 2) and raises
-    IllConditionedError if the factorization fails, so grid search can
-    skip the candidate.  For a stack (g, N, 29) of designs sharing the
-    points it returns (g, 29, 2), factorizing the stack in one call; a
-    candidate whose factorization fails gets NaN controls, and the others
-    are still solved.
+    IllConditionedError if the factorization fails.  For a stack (g, N, 29)
+    of designs sharing the points it returns (g, 29, 2), factorizing the
+    stack in one call; a candidate whose factorization fails gets NaN
+    controls, and the others are still solved.
     """
     design = np.asarray(design, dtype=float)
     points = np.asarray(points, dtype=float)
@@ -456,7 +456,6 @@ def fit(
     return FitResult(PiecewiseCurve(omega, controls.copy()), discretized.copy(), score, scores)
 
 
-def fit_fixed_omega(data, omega: float, n_samples: int | None = None) -> FitResult:
-    """Fit and score the curve for one fixed segmentation point: `fit` on
-    [omega].  `n_samples` is ignored, as by `fit`."""
-    return fit(data, [omega], n_samples)
+def fit_fixed_omega(data, omega: float) -> FitResult:
+    """Fit and score the curve for one fixed segmentation point: `fit` on [omega]."""
+    return fit(data, [omega])

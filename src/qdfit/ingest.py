@@ -79,15 +79,19 @@ class WindowSpec:
 def parse_csv(text: str) -> list[Series]:
     """Parse CSV text into one Series of raw counts per numeric column.
 
-    Rejects a missing/duplicated header, malformed or non-contiguous
-    dates, missing cells, and negative or non-finite values.
+    One leading byte-order mark (U+FEFF, as spreadsheet "CSV UTF-8" exports
+    write it) is dropped.  Rejects a missing/duplicated header, malformed or
+    non-contiguous dates, missing cells, cells past the csv module's field
+    size limit, and negative or non-finite values.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty input: missing header row") from None
-    header = [name.strip() for name in header]
+        rows = list(reader)
+    except csv.Error as exc:  # such as a cell past the field size limit
+        raise ValueError(f"row {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError("empty input: missing header row")
+    header = [name.strip() for name in rows[0]]
     if not header or header[0] != "date":
         raise ValueError("first header column must be 'date'")
     labels = header[1:]
@@ -98,7 +102,7 @@ def parse_csv(text: str) -> list[Series]:
 
     dates: list[date] = []
     columns: list[list[float]] = [[] for _ in labels]
-    for row_num, row in enumerate(reader, start=2):
+    for row_num, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # ignore blank lines
         if len(row) != len(header):

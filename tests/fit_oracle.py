@@ -18,6 +18,9 @@ Newton iteration `fit` uses: day k takes y(t) where x(t) = k.
 `day_values_loop` is that iteration as `fit` ran it with one `searchsorted`
 call per curve and one Horner loop each for x and x'; `fit`'s one-call
 search and fused x, x' evaluation must give its values bit for bit.
+`pp_spans` and `pp_eval` evaluate `pp_curve` coefficients at parameters, the
+way `day_values_loop` does; `qdfit` itself evaluates a curve through the
+design basis (`PiecewiseCurve.at`).
 """
 
 from __future__ import annotations
@@ -30,10 +33,8 @@ from qdfit.basis import (
     NUM_SPANS,
     _segment_params,
     horner,
-    piecewise_spans,
     pp_curve,
     pp_derivative,
-    pp_eval,
 )
 from qdfit.fitting import (
     FitResult,
@@ -107,6 +108,27 @@ def split(params: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _segment_params(params, omegas)
 
 
+def pp_spans(params: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each parameter's `pp_curve` span and its local u = 10 tau - s there, (g, N) each.
+
+    The span is s (0..9) on the left segment and 10 + s on the right, by the
+    split of `_segment_params`, and row i's spans are offset by 20 i: they
+    index the stack `pp_curve` returns for g controls.
+    """
+    right, us, spans = _segment_params(params, omegas)
+    us *= NUM_SPANS
+    us -= spans
+    spans += NUM_SPANS * right + 2 * NUM_SPANS * np.arange(len(spans))[:, None]
+    return spans, us
+
+
+def pp_eval(polys: np.ndarray, spans: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """`pp_curve` (or `pp_derivative`) coefficients evaluated at `pp_spans`
+    output by Horner's rule; the result has shape spans.shape + polys.shape[2:]."""
+    by_power = np.moveaxis(np.take(polys, spans, axis=0), spans.ndim, 0)
+    return horner(by_power, us.reshape(us.shape + (1,) * (polys.ndim - 2)))
+
+
 def day_values(omegas: np.ndarray, controls: np.ndarray, params: np.ndarray) -> np.ndarray:
     """`fitting._day_values` for g curves given by omegas (g,) and controls (g, 29, 2)."""
     return fitting._day_values(controls, *split(params, omegas))
@@ -122,7 +144,7 @@ def day_values_loop(omegas: np.ndarray, controls: np.ndarray, params: np.ndarray
     spans = np.stack([np.searchsorted(x_starts, days, side="right") for x_starts in starts]) - 1
     spans.clip(0, per_curve - 1, out=spans)
     spans += per_curve * np.arange(len(starts))[:, None]
-    chord_spans, us = piecewise_spans(params, omegas)
+    chord_spans, us = pp_spans(params, omegas)
     us += chord_spans - spans
     us.clip(0.0, 1.0, out=us)
     x_coeffs = np.moveaxis(np.take(xs, spans, axis=0), -1, 0)

@@ -18,6 +18,7 @@ from qdfit.basis import (
     piecewise_basis_matrix,
     quasi_basis_matrix,
 )
+from qdfit.fitting import PiecewiseCurve
 
 TS = np.linspace(0.0, 1.0, 1000)
 
@@ -273,10 +274,13 @@ class TestPiecewiseVector:
 
     def test_curve_continuous_at_junction(self):
         rng = np.random.default_rng(7)
-        for omega in (0.25, 0.5, 0.75):
+        for omega in (0.25, 0.5, 0.75, 0.1, 0.37, 0.9):
             controls = rng.uniform(-1.0, 1.0, size=(NUM_PIECEWISE_BASIS, 2))
             ts = np.array([np.nextafter(omega, 0.0), omega, np.nextafter(omega, 1.0)])
             pts = piecewise_basis_matrix(ts, omega) @ controls
             assert np.abs(pts - pts[1]).max() <= 1e-10
             # the junction value is exactly the shared control point
             np.testing.assert_array_equal(pts[1], controls[14])
+            # and a curve passes exactly through its end and shared controls
+            at = PiecewiseCurve(omega, controls).at([0.0, omega, 1.0])
+            np.testing.assert_array_equal(at, controls[[0, 14, 28]])

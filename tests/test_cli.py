@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -95,6 +96,34 @@ class TestFitCommand:
         code = main(["fit", "--input", str(csv_path), "--column", "x"] + FIT_SPEED_FLAGS)
         assert code == 1
         assert "zero total" in capsys.readouterr().err
+
+    def test_oversized_cell_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # a cell past the csv module's field size limit is an input error,
+        # not a traceback, and nothing is written
+        monkeypatch.chdir(tmp_path)
+        csv_path = tmp_path / "data.csv"
+        _write_csv(csv_path, ["confirmed"])
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        lines[5] += "0" * csv.field_size_limit()  # row 6's count, lengthened
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["fit", "--input", str(csv_path), "--column", "confirmed"] + FIT_SPEED_FLAGS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 6: field larger than field limit") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # a "CSV UTF-8" spreadsheet export starts with U+FEFF; the report is
+        # the one of the same file without it
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        _write_csv(plain, ["confirmed"])
+        marked.write_text("\ufeff" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+        for csv_path in (plain, marked):
+            args = ["fit", "--input", str(csv_path), "--column", "confirmed",
+                    "--json-out", str(csv_path.with_suffix(".json")),
+                    "--svg-out", str(csv_path.with_suffix(".svg"))]
+            assert main(args + FIT_SPEED_FLAGS) == 0
+        assert marked.with_suffix(".json").read_bytes() == plain.with_suffix(".json").read_bytes()
 
     def test_default_output_paths(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

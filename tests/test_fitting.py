@@ -22,7 +22,7 @@ from qdfit.fitting import (
     sample_curve,
     solve_normal_equations,
 )
-from fit_oracle import bisect_day_values, day_values
+from fit_oracle import bisect_day_values, day_values, pp_eval, pp_spans
 from synthetic import greville_abscissae, linear_day_curve, roundtrip_data, two_bump_counts
 
 
@@ -211,7 +211,7 @@ class TestCurveEvaluation:
             [[0.0, 1.0, omega], knots * omega, omega + (1.0 - omega) * knots, rng.random(50)]
         )
         expected = piecewise_basis_matrix(ts, omega) @ controls
-        actual = PiecewiseCurve(omega, controls).at(ts)
+        actual = pp_eval(basis.pp_curve(controls), *pp_spans(ts, np.array([omega])))[0]
         assert np.abs(actual - expected).max() <= 1e-13 * np.abs(controls).max()
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(min_value=0.01, max_value=0.99))
@@ -219,11 +219,11 @@ class TestCurveEvaluation:
         # d/du of each span's polynomial; u stays inside the span
         rng = np.random.default_rng(seed)
         polys = basis.pp_curve(rng.normal(size=(NUM_PIECEWISE_BASIS, 2)))
-        spans, us = basis.piecewise_spans(rng.uniform(0.0, 1.0, 200), omega)
+        spans, us = pp_spans(rng.uniform(0.0, 1.0, 200), np.array([omega]))
         us = np.clip(us, 0.01, 0.99)
         h = 1e-5
-        expected = (basis.pp_eval(polys, spans, us + h) - basis.pp_eval(polys, spans, us - h)) / (2 * h)
-        actual = basis.pp_eval(basis.pp_derivative(polys), spans, us)
+        expected = (pp_eval(polys, spans, us + h) - pp_eval(polys, spans, us - h)) / (2 * h)
+        actual = pp_eval(basis.pp_derivative(polys), spans, us)
         assert np.abs(actual - expected).max() <= 1e-6 * np.abs(polys).max()
 
     @pytest.mark.parametrize("t", [-1e-12, -0.5, 1.0 + 1e-12, 2.0, float("nan")])
@@ -265,15 +265,19 @@ class TestFusedDiscretization:
         np.testing.assert_array_equal(discretize(samples, 3), samples[-1, 1])
 
     def test_day_without_earlier_sample_takes_the_first(self):
-        # days outside [x(0), x(1)] take t = 0 or t = 1
+        # days outside [x(0), x(1)] take t = 0 or t = 1: y of the pp-form's
+        # first span at u = 0 or of its last span at u = 1
+        def y_at(curve, span, u):
+            return basis.horner(basis.pp_curve(curve.controls)[span, :, 1], np.array(u))
+
         curve = linear_day_curve(0.4, 50)
         shifted = PiecewiseCurve(0.4, curve.controls + [0.5, 0.0])
         out = self.fused(shifted, np.linspace(0.0, 1.0, 50))
-        assert out[0] == shifted.at(np.array([0.0]))[0, 1]
+        assert out[0] == y_at(shifted, 0, 0.0)
         squeezed = PiecewiseCurve(0.4, curve.controls * [0.5, 1.0] + [12.0, 0.0])
         out = self.fused(squeezed, np.linspace(0.0, 1.0, 50))
-        np.testing.assert_array_equal(out[:12], squeezed.at(np.array([0.0]))[0, 1])
-        np.testing.assert_array_equal(out[37:], squeezed.at(np.array([1.0]))[0, 1])
+        np.testing.assert_array_equal(out[:12], y_at(squeezed, 0, 0.0))
+        np.testing.assert_array_equal(out[37:], y_at(squeezed, -1, 1.0))
 
     def test_linear_day_map_takes_y_at_its_inverse(self):
         # x(t) = 1 + (N - 1) t exactly, so t*_k = (k - 1)/(N - 1)

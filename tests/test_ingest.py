@@ -86,6 +86,21 @@ class TestParseCsv:
         with pytest.raises(ValueError, match="header"):
             parse_csv("")
 
+    def test_oversized_cell_names_its_row(self):
+        # the csv module refuses a cell past its field size limit (csv.Error)
+        big = "1" * (csv.field_size_limit() + 1)
+        with pytest.raises(ValueError, match=r"^row 3: field larger than field limit"):
+            parse_csv(f"date,x\n2020-03-01,1\n2020-03-02,{big}\n")
+
+    def test_leading_byte_order_mark_dropped(self):
+        # spreadsheet "CSV UTF-8" exports start with U+FEFF; one mark is dropped
+        text = "date,x\n2020-03-01,1\n2020-03-02,2.5\n"
+        (plain,), (marked,) = parse_csv(text), parse_csv("\ufeff" + text)
+        assert (marked.label, marked.start_date) == (plain.label, plain.start_date)
+        np.testing.assert_array_equal(marked.values, plain.values)
+        with pytest.raises(ValueError, match="'date'"):
+            parse_csv("\ufeff\ufeff" + text)
+
     def test_round_trip(self):
         series = [
             Series("confirmed", date(2020, 5, 1), np.array([1.0, 2.5, 3.0])),
