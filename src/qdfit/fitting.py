@@ -141,15 +141,19 @@ def chord_length_params(points: np.ndarray) -> np.ndarray:
     """Cumulative chord-length parameters in [0, 1] for a point sequence.
 
     t_1 = 0, t_N = 1, and consecutive increments are proportional to the
-    Euclidean distance between consecutive points.
+    Euclidean distance between consecutive points.  Every chord must be
+    finite: a coordinate step above about 1.3e154 overflows when squared.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2:
         raise ValueError("need at least 2 points to parameterize")
-    chords = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chords = np.linalg.norm(np.diff(points, axis=0), axis=1)
+        cumulative = np.concatenate([[0.0], np.cumsum(chords)])
+    if not np.isfinite(cumulative[-1]):
+        raise ValueError("chord lengths must be finite (no NaN or inf, no step above about 1.3e154)")
     if np.any(chords == 0.0):
         raise ValueError("consecutive points must be distinct")
-    cumulative = np.concatenate([[0.0], np.cumsum(chords)])
     return cumulative / cumulative[-1]
 
 
@@ -374,8 +378,8 @@ def default_omega_grid(
 
     A grid of more than MAX_OMEGA_CANDIDATES candidates is refused.
     """
-    if not step > 0.0:
-        raise ValueError("omega grid step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"omega grid step must be positive and finite, got {step:g}")
     if not (0.0 < lo <= hi < 1.0):
         raise ValueError("omega grid bounds must satisfy 0 < lo <= hi < 1")
     steps = (hi - lo) / step * (1.0 + 1e-9)  # steps within hi, division noise forgiven
@@ -395,10 +399,13 @@ def fit(
 ) -> FitResult:
     """Grid search over segmentation points; return the lowest-MSE candidate.
 
-    The data must be finite and non-negative with a positive total, the
-    rule `ingest.histogram` applies, and need at least 29 values, one per
-    control point.  Grid candidates lie in (0, 1), the basis's rule, and a
-    number is a one-candidate grid.  `n_samples` is ignored: the curve is
+    The data must be one-dimensional, finite and non-negative with a
+    positive total, the rule `ingest.histogram` applies, and need at least
+    29 values, one per control point.  Consecutive values must differ by
+    less than about 1.3e154, so that every chord length sqrt(1 + step**2)
+    stays finite; `histogram`'s unit-sum values always do.  Grid
+    candidates lie in (0, 1), the basis's rule, and a number is a
+    one-candidate grid.  `n_samples` is ignored: the curve is
     discretized exactly, not sampled.  The benchmark still passes it; it
     goes with the benchmark's next change (ROADMAP item 3).  Exact ties go
     to the smaller omega.  A candidate whose design is rank-deficient (gate

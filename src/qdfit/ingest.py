@@ -181,11 +181,13 @@ def extract_window(smoothed: Series, window: WindowSpec) -> Series:
 def check_window_values(values) -> np.ndarray:
     """Validate one window of daily counts or fractions; return it as floats.
 
-    The values must be finite and non-negative with a positive total.  This
-    is the one rule for what may be normalized into a histogram distribution
-    and what `fitting.fit` accepts.
+    The values must be one-dimensional, finite and non-negative with a
+    positive total.  This is the one rule for what may be normalized into a
+    histogram distribution and what `fitting.fit` accepts.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"values must be one-dimensional, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite (no NaN or inf)")
     if np.any(values < 0.0):

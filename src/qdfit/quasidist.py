@@ -31,11 +31,13 @@ class QuasiDistribution(NamedTuple):
 def normalize(signal: np.ndarray) -> tuple[float, np.ndarray]:
     """Rescale a signal to unit sum; returns (gamma, rescaled values).
 
-    Negative cells are allowed (spline undershoot); NaN and inf are not,
-    and neither is a sum that is not positive, which would flip or blow up
-    the mass.
+    The signal must be one-dimensional.  Negative cells are allowed (spline
+    undershoot); NaN and inf are not, and neither is a sum that is not
+    positive, which would flip or blow up the mass.
     """
     signal = np.asarray(signal, dtype=float)
+    if signal.ndim != 1:
+        raise ValueError(f"signal must be one-dimensional, got shape {signal.shape}")
     if not np.all(np.isfinite(signal)):
         raise ValueError("signal values must be finite (no NaN or inf)")
     total = float(signal.sum())

@@ -2,8 +2,10 @@
 
 Everything emitted here is byte-deterministic for identical inputs: JSON
 uses a fixed key order and Python's shortest round-trip float repr, SVG
-coordinates are formatted to 6 significant digits.  Colors follow the
-series roles: green for the smoothed histogram signal, red/blue/black for
+coordinates are formatted to 6 significant digits.  One writer draws both
+plots, the panel and the overlay; it rejects curves that are not finite,
+one-dimensional and of one length.  Colors follow the series roles: green
+for the smoothed histogram signal, red/blue/black for
 confirmed/recovered/fatality fits.
 """
 
@@ -157,127 +159,98 @@ def _text(value: str) -> str:
     return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _polyline(values: np.ndarray, lo: float, hi: float, color: str) -> str:
-    n = values.size
+def _plot(curves: list[tuple[str, np.ndarray, str]], title: str, note: str | None = None) -> str:
+    """The one SVG writer: (label, values, color) curves on shared axes.
+
+    Every curve must hold finite values in one dimension, all of one
+    length.  The value axis runs from min(0, smallest value) to 1.05 times
+    the largest, and that span must be finite too.  A `note` goes under the title; without one, each curve
+    gets a legend row.
+    """
+    arrays = [np.asarray(values, dtype=float) for _, values, _ in curves]
+    n = arrays[0].size
+    for (label, _, _), values in zip(curves, arrays):
+        if values.shape != (n,):
+            raise ValueError(f"curve {label!r} has shape {values.shape}, expected ({n},)")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"curve {label!r} values must be finite (no NaN or inf)")
+    lo = min(0.0, min(float(v.min()) for v in arrays))
+    hi = 1.05 * max(float(v.max()) for v in arrays)
+    if hi <= lo:
+        hi = lo + 1.0
+    if not math.isfinite(hi - lo):
+        raise ValueError("curve values span more than a float can hold")
+
     span_x = SVG_WIDTH - _ML - _MR
     span_y = SVG_HEIGHT - _MT - _MB
-    denom = max(n - 1, 1)
-    pts = []
-    for k, v in enumerate(values):
-        x = _ML + k / denom * span_x
-        y = SVG_HEIGHT - _MB - (v - lo) / (hi - lo) * span_y
-        pts.append(f"{_fmt(x)},{_fmt(y)}")
-    return (
-        f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-        f'points="{" ".join(pts)}"/>'
-    )
-
-
-def _frame(n_days: int, lo: float, hi: float, title: str) -> list[str]:
-    """Start an SVG with the header, axes, ticks, and title shared by both plot kinds."""
-    span_x = SVG_WIDTH - _ML - _MR
     bottom = SVG_HEIGHT - _MB
+    denom = max(n - 1, 1)
+    axis = 'stroke="#333" stroke-width="1"/>'
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
         f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
-        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{bottom}" stroke="#333" stroke-width="1"/>',
-        f'<line x1="{_ML}" y1="{bottom}" x2="{SVG_WIDTH - _MR}" y2="{bottom}" '
-        f'stroke="#333" stroke-width="1"/>',
+        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{bottom}" {axis}',
+        f'<line x1="{_ML}" y1="{bottom}" x2="{SVG_WIDTH - _MR}" y2="{bottom}" {axis}',
     ]
-    for i in range(5):
-        day = 1 + round(i * (n_days - 1) / 4) if n_days > 1 else 1
-        x = _ML + (day - 1) / max(n_days - 1, 1) * span_x
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{bottom}" x2="{_fmt(x)}" y2="{bottom + 5}" '
-            f'stroke="#333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{bottom + 20}" font-size="12" '
-            f'text-anchor="middle">{day}</text>'
-        )
-        v = lo + i * (hi - lo) / 4
+    for i in range(5):  # five ticks on each axis
+        day = 1 + round(i * (n - 1) / 4)
+        x = _fmt(_ML + (day - 1) / denom * span_x)
         y = bottom - i * (bottom - _MT) / 4
-        parts.append(
-            f'<line x1="{_ML - 5}" y1="{_fmt(y)}" x2="{_ML}" y2="{_fmt(y)}" '
-            f'stroke="#333" stroke-width="1"/>'
-        )
-        parts.append(
+        parts += [
+            f'<line x1="{x}" y1="{bottom}" x2="{x}" y2="{bottom + 5}" {axis}',
+            f'<text x="{x}" y="{bottom + 20}" font-size="12" text-anchor="middle">{day}</text>',
+            f'<line x1="{_ML - 5}" y1="{_fmt(y)}" x2="{_ML}" y2="{_fmt(y)}" {axis}',
             f'<text x="{_ML - 8}" y="{_fmt(y + 4)}" font-size="12" '
-            f'text-anchor="end">{_fmt(v)}</text>'
-        )
-    parts.append(
+            f'text-anchor="end">{_fmt(lo + i * (hi - lo) / 4)}</text>',
+        ]
+    parts += [
         f'<text x="{SVG_WIDTH // 2}" y="25" font-size="16" text-anchor="middle" '
-        f'font-family="sans-serif">{_text(title)}</text>'
-    )
-    parts.append(
+        f'font-family="sans-serif">{_text(title)}</text>',
         f'<text x="{SVG_WIDTH // 2}" y="{SVG_HEIGHT - 8}" font-size="12" '
-        f'text-anchor="middle">day</text>'
-    )
-    return parts
-
-
-def _value_range(series: list[np.ndarray]) -> tuple[float, float]:
-    lo = min(0.0, min(float(v.min()) for v in series))
-    hi = 1.05 * max(float(v.max()) for v in series)
-    if hi <= lo:
-        hi = lo + 1.0
-    return lo, hi
+        f'text-anchor="middle">day</text>',
+    ]
+    if note is not None:
+        parts.append(
+            f'<text x="{_ML + 10}" y="{_MT + 18}" font-size="13" '
+            f'font-family="sans-serif">{note}</text>'
+        )
+    for i, ((label, _, color), values) in enumerate(zip(curves, arrays)):
+        pts = " ".join(
+            f"{_fmt(_ML + k / denom * span_x)},{_fmt(bottom - (v - lo) / (hi - lo) * span_y)}"
+            for k, v in enumerate(values)
+        )
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
+        if note is None:  # a legend row
+            y = _MT + 18 + 18 * i
+            x0 = SVG_WIDTH - _MR - 170
+            parts += [
+                f'<line x1="{x0}" y1="{y - 4}" x2="{x0 + 28}" y2="{y - 4}" '
+                f'stroke="{color}" stroke-width="2"/>',
+                f'<text x="{x0 + 34}" y="{y}" font-size="13" '
+                f'font-family="sans-serif">{_text(label)}</text>',
+            ]
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def emit_panel_svg(
-    histogram: np.ndarray,
-    fitted: np.ndarray,
-    label: str,
-    omega: float | None = None,
-    variance: float | None = None,
+    histogram: np.ndarray, fitted: np.ndarray, label: str, omega: float, variance: float
 ) -> str:
-    """One-series panel: green histogram signal plus role-colored fit."""
-    histogram = np.asarray(histogram, dtype=float)
-    fitted = np.asarray(fitted, dtype=float)
-    if histogram.shape != fitted.shape:
-        raise ValueError(f"length mismatch: {histogram.shape} vs {fitted.shape}")
-    lo, hi = _value_range([histogram, fitted])
-    parts = _frame(histogram.size, lo, hi, f"{label}: histogram and quasi-distribution fit")
-    if omega is not None or variance is not None:
-        bits = []
-        if omega is not None:
-            bits.append(f"omega = {_fmt(omega)}")
-        if variance is not None:
-            bits.append(f"Var = {_fmt(variance)}")
-        parts.append(
-            f'<text x="{_ML + 10}" y="{_MT + 18}" font-size="13" '
-            f'font-family="sans-serif">{", ".join(bits)}</text>'
-        )
-    parts.append(_polyline(histogram, lo, hi, HISTOGRAM_COLOR))
-    parts.append(_polyline(fitted, lo, hi, series_color(label)))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    """One-series panel: green histogram signal plus role-colored fit, with
+    `omega` and the variance noted under the title."""
+    return _plot(
+        [("histogram", histogram, HISTOGRAM_COLOR), (label, fitted, series_color(label))],
+        f"{label}: histogram and quasi-distribution fit",
+        f"omega = {_fmt(omega)}, Var = {_fmt(variance)}",
+    )
 
 
 def emit_overlay_svg(curves: list[tuple[str, np.ndarray]]) -> str:
     """Shared-axes overlay of several fitted quasi-distributions with a legend."""
     if len(curves) < 2:
         raise ValueError("overlay needs >=2 curves")
-    arrays = [np.asarray(v, dtype=float) for _, v in curves]
-    n = arrays[0].size
-    for (label, _), arr in zip(curves, arrays):
-        if arr.size != n:
-            raise ValueError(f"curve {label!r} has {arr.size} values, expected {n}")
-    lo, hi = _value_range(arrays)
-    parts = _frame(n, lo, hi, "quasi-distribution fits")
-    for i, ((label, _), arr) in enumerate(zip(curves, arrays)):
-        color = series_color(label, i)
-        parts.append(_polyline(arr, lo, hi, color))
-        y = _MT + 18 + 18 * i
-        x0 = SVG_WIDTH - _MR - 170
-        parts.append(
-            f'<line x1="{x0}" y1="{y - 4}" x2="{x0 + 28}" y2="{y - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{x0 + 34}" y="{y}" font-size="13" '
-            f'font-family="sans-serif">{_text(label)}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _plot(
+        [(label, values, series_color(label, i)) for i, (label, values) in enumerate(curves)],
+        "quasi-distribution fits",
+    )

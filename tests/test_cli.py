@@ -245,6 +245,19 @@ class TestFitCommand:
         assert err == "error: omega grid step 1e-09 gives 8e+08 candidates, more than 100000\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
+    def test_infinite_omega_step_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # inf * 0 made the grid [nan], with a RuntimeWarning on stderr first
+        monkeypatch.chdir(tmp_path)
+        start, n_days = _write_csv(tmp_path / "data.csv", ["confirmed"])
+        code = main(
+            ["fit", "--input", "data.csv", "--column", "confirmed", "--begin", start.isoformat(),
+             "--days", str(n_days), "--omega-step", "inf"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: omega grid step must be positive and finite, got inf\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
     def test_omega_grid_stays_within_its_bounds(self, tmp_path):
         # 0.05 + 8 * 0.02 = 0.21 would pass --omega-max 0.2
         csv_path = tmp_path / "data.csv"

@@ -43,6 +43,13 @@ class TestChordLengthParams:
         with pytest.raises(ValueError):
             chord_length_params(np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 2.0]]))
 
+    @pytest.mark.parametrize("step", [1.4e154, 1e300, float("inf"), float("nan")])
+    def test_chord_that_overflows_rejected(self, step):
+        # a finite step of 1.4e154 squares past the largest double
+        points = np.array([[1.0, 0.0], [2.0, step], [3.0, 0.0]])
+        with pytest.raises(ValueError, match="chord lengths must be finite"):
+            chord_length_params(points)
+
     @given(
         st.lists(
             st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
@@ -91,10 +98,13 @@ class TestDesignMatrix:
         np.testing.assert_array_equal(out, whole)
 
     def test_nan_points_rejected(self):
-        # chord lengths through a NaN point are NaN, and so are the parameters
+        # chord lengths through a NaN point are NaN: the parameters refuse them,
+        # and the design refuses NaN parameters
         points = np.array([[1.0, 0.2], [2.0, np.nan], [3.0, 0.5], [4.0, 0.1]])
+        with pytest.raises(ValueError, match="chord lengths must be finite"):
+            chord_length_params(points)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            assemble_design(chord_length_params(points), 0.4)
+            assemble_design(np.array([0.0, np.nan, np.nan, np.nan]), 0.4)
 
 
 class TestNormalEquations:
@@ -434,6 +444,15 @@ class TestFit:
         with pytest.raises(ValueError, match="zero total"):
             fit(np.zeros(40))
 
+    def test_two_dimensional_data_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            fit(np.ones((40, 2)) / 80)
+
+    def test_overflowing_chord_rejected(self):
+        # finite values one 1e300 step apart: the chord length overflows
+        with pytest.raises(ValueError, match="chord lengths must be finite"):
+            fit(np.r_[np.zeros(30), 1e300, np.zeros(30)])
+
     @pytest.mark.parametrize("n_days", [3, 28])
     def test_fewer_points_than_controls_rejected(self, n_days):
         f = np.full(n_days, 1.0 / n_days)
@@ -655,6 +674,9 @@ class TestFit:
             default_omega_grid(step=0.0)
         with pytest.raises(ValueError, match="step must be positive"):
             default_omega_grid(step=float("nan"))
+        # inf * 0 would put NaN on the grid
+        with pytest.raises(ValueError, match="step must be positive and finite, got inf"):
+            default_omega_grid(step=float("inf"))
         with pytest.raises(ValueError):
             default_omega_grid(0.0, 0.9)
         # a step this fine would allocate 6.4 GB; the count is checked first

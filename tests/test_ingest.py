@@ -220,6 +220,11 @@ class TestHistogram:
         with pytest.raises(ValueError, match=match):
             histogram(smoothed)
 
+    def test_two_dimensional_values_rejected(self):
+        smoothed = Series("a", date(2020, 1, 1), np.ones((3, 4)))
+        with pytest.raises(ValueError, match=r"one-dimensional, got shape \(3, 4\)"):
+            histogram(smoothed)
+
     @given(
         st.lists(
             st.floats(min_value=0.0, max_value=100.0, allow_nan=False),

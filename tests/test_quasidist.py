@@ -34,6 +34,12 @@ class TestNormalize:
             with pytest.raises(ValueError, match="finite"):
                 call()
 
+    def test_two_dimensional_rejected(self):
+        signal = np.ones((3, 4))
+        for call in (lambda: normalize(signal), lambda: quasi_distribution(signal)):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                call()
+
     def test_negative_cells_kept(self):
         gamma, values = normalize(np.array([0.5, -0.1, 0.6]))
         assert gamma == pytest.approx(1.0)

@@ -83,7 +83,7 @@ class TestJson:
 
 class TestPanelSvg:
     def test_root_element_first(self):
-        svg = emit_panel_svg(np.ones(10), np.ones(10), "confirmed")
+        svg = emit_panel_svg(np.ones(10), np.ones(10), "confirmed", 0.5, 2.0)
         assert svg.startswith("<svg")
 
     def test_well_formed_xml(self):
@@ -91,21 +91,21 @@ class TestPanelSvg:
         ET.fromstring(svg)
 
     def test_two_polylines_histogram_green(self):
-        svg = emit_panel_svg(np.ones(5), np.zeros(5), "unknown-series")
+        svg = emit_panel_svg(np.ones(5), np.zeros(5), "unknown-series", 0.5, 2.0)
         assert svg.count("<polyline") == 2
         assert 'stroke="green"' in svg
 
     def test_confirmed_series_is_red(self):
-        svg = emit_panel_svg(np.ones(5), np.zeros(5), "confirmed")
+        svg = emit_panel_svg(np.ones(5), np.zeros(5), "confirmed", 0.5, 2.0)
         assert 'stroke="red"' in svg
 
     def test_fatality_series_is_black(self):
-        svg = emit_panel_svg(np.ones(5), np.zeros(5), "daily fatality cases")
+        svg = emit_panel_svg(np.ones(5), np.zeros(5), "daily fatality cases", 0.5, 2.0)
         assert 'stroke="black"' in svg
 
     def test_polyline_has_n_points(self):
         n = 37
-        svg = emit_panel_svg(np.ones(n), np.linspace(0, 1, n), "x")
+        svg = emit_panel_svg(np.ones(n), np.linspace(0, 1, n), "x", 0.5, 2.0)
         for line in svg.splitlines():
             if "<polyline" in line:
                 coords = line.split('points="')[1].split('"')[0]
@@ -119,10 +119,10 @@ class TestPanelSvg:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            emit_panel_svg(np.ones(5), np.ones(6), "x")
+            emit_panel_svg(np.ones(5), np.ones(6), "x", 0.5, 2.0)
 
     def test_label_markup_is_escaped(self):
-        texts = _svg_texts(emit_panel_svg(np.ones(5), np.ones(5), MARKUP_LABEL))
+        texts = _svg_texts(emit_panel_svg(np.ones(5), np.ones(5), MARKUP_LABEL, 0.5, 2.0))
         assert f"{MARKUP_LABEL}: histogram and quasi-distribution fit" in texts
 
     def test_deterministic(self):
@@ -166,6 +166,25 @@ class TestOverlaySvg:
             if "<polyline" in line
         ]
         assert coords[0] == coords[1]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.array([0.1, np.nan, 0.2]), np.array([0.1, np.inf, 0.2]), np.array([0.1, -np.inf, 0.2]),
+     np.ones((3, 2)),
+     np.array([1.75e308, 0.0, -1.0])],  # finite, but 1.05 times the maximum overflows
+)
+def test_emitters_reject_non_finite_and_two_dimensional_values(bad):
+    good = np.ones(len(bad))
+    calls = [
+        lambda: emit_panel_svg(bad, good, "x", 0.5, 2.0),
+        lambda: emit_panel_svg(good, bad, "x", 0.5, 2.0),
+        lambda: emit_overlay_svg([("a", good), ("b", bad)]),
+        lambda: emit_overlay_svg([("a", bad), ("b", good)]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite|shape|span"):
+            call()
 
 
 class TestSeriesColor:
