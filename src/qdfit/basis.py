@@ -43,6 +43,8 @@ import functools
 
 import numpy as np
 
+from .ingest import _check_values
+
 DEGREE = 5
 ORDER = DEGREE + 1
 NUM_QUASI_BASIS = 15
@@ -64,11 +66,9 @@ _SPAN_STARTS = _KNOTS[DEGREE:NUM_QUASI_BASIS]  # knot s/10 opening span s = 0..9
 
 def _check_params(ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1:
-        raise ValueError("ts must be one-dimensional")
     if not np.all((0.0 <= ts) & (ts <= 1.0)):
         raise ValueError("parameters must lie in [0, 1]")
-    return ts
+    return _check_values(ts, "ts")
 
 
 def _knot_spans(ts: np.ndarray) -> np.ndarray:

@@ -51,7 +51,7 @@ from .basis import (
     pp_curve,
     pp_derivative,
 )
-from .ingest import check_window_values
+from .ingest import _check_values, check_window_values
 
 DEFAULT_OMEGA_MIN = 0.10
 DEFAULT_OMEGA_MAX = 0.90
@@ -95,9 +95,11 @@ class PiecewiseCurve:
     controls: np.ndarray  # (29, 2)
 
     def __post_init__(self) -> None:
+        _check_omega(self.omega)
         controls = np.asarray(self.controls, dtype=float)
         if controls.shape != (NUM_PIECEWISE_BASIS, 2):
             raise ValueError(f"controls must have shape (29, 2), got {controls.shape}")
+        _check_values(controls.reshape(-1), "controls")
         object.__setattr__(self, "controls", controls)
 
     def at(self, ts: np.ndarray) -> np.ndarray:
@@ -123,17 +125,9 @@ class FitResult:
         return self.curve.omega
 
 
-def _finite_values(data) -> np.ndarray:
-    """The f values of a HistogramDistribution or a plain sequence; NaN and inf rejected."""
-    f = np.asarray(getattr(data, "f", data), dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("data values must be finite (no NaN or inf)")
-    return f
-
-
 def data_points(f: np.ndarray) -> np.ndarray:
-    """Pair day indices with values: rows (k, f_k), k = 1..N."""
-    f = _finite_values(f)
+    """Rows (k, f_k), k = 1..N, of values or a HistogramDistribution's f."""
+    f = _check_values(getattr(f, "f", f))
     return np.column_stack([np.arange(1, f.size + 1, dtype=float), f])
 
 
@@ -260,26 +254,17 @@ def solve_normal_equations(design: np.ndarray, points: np.ndarray) -> np.ndarray
 
 
 def sample_curve(curve: PiecewiseCurve, n: int) -> np.ndarray:
-    """Evaluate the curve at n uniform parameters, endpoints included.
-
-    With `discretize` it is the max-below rule `fit` used before the exact
-    one.  `fit` calls neither and ignores its n_samples; both go with the
-    benchmark's next change (ROADMAP item 3), which stops binding them.
-    """
+    """Curve points at n uniform parameters, endpoints included (see SAMPLES_PER_DAY)."""
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     return curve.at(np.linspace(0.0, 1.0, n))
 
 
 def discretize(samples: np.ndarray, n_days: int) -> np.ndarray:
-    """Reduce curve samples to one value per day k = 1..n_days, by the
-    max-below rule `fit` used before the exact one.
-
-    Day k takes the y of the sample whose x is the largest value strictly
-    below k; ties on x go to the largest sample index.  Days with no
-    sample to their left fall back to the first sample's y.  `fit` does
-    not call it and ignores its n_samples; see `sample_curve`.
-    """
+    """One value per day k = 1..n_days from curve samples by the max-below
+    rule (see SAMPLES_PER_DAY): day k takes the y of the sample whose x is
+    the largest strictly below k, ties on x going to the largest sample
+    index; days with no sample to their left take the first sample's y."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("no samples to discretize")
@@ -362,8 +347,8 @@ def _mean_square(signal: np.ndarray, f: np.ndarray) -> float:
 
 def mse(signal: np.ndarray, data) -> float:
     """Mean square deviation between a discretized signal and the data."""
-    signal = np.asarray(signal, dtype=float)
-    target = _finite_values(data)
+    signal = _check_values(signal, "signal")
+    target = _check_values(getattr(data, "f", data))
     if signal.shape != target.shape:
         raise ValueError(f"length mismatch: {signal.shape} vs {target.shape}")
     return _mean_square(signal, target)
@@ -399,21 +384,20 @@ def fit(
 ) -> FitResult:
     """Grid search over segmentation points; return the lowest-MSE candidate.
 
-    The data must be one-dimensional, finite and non-negative with a
-    positive total, the rule `ingest.histogram` applies, and need at least
-    29 values, one per control point.  Consecutive values must differ by
-    less than about 1.3e154, so that every chord length sqrt(1 + step**2)
-    stays finite; `histogram`'s unit-sum values always do.  Grid
-    candidates lie in (0, 1), the basis's rule, and a number is a
-    one-candidate grid.  `n_samples` is ignored: the curve is
-    discretized exactly, not sampled.  The benchmark still passes it; it
-    goes with the benchmark's next change (ROADMAP item 3).  Exact ties go
-    to the smaller omega.  A candidate whose design is rank-deficient (gate
-    (a)), whose normal equations cannot be factorized, or whose x controls
-    do not strictly increase (gate (b)) is recorded with an infinite score
-    and skipped, and a non-finite score never wins; if no candidate scores
-    finite, IllConditionedError (a RuntimeError) is raised.  The selection
-    depends only on the candidate set, not on evaluation order.
+    The data must pass `ingest.check_window_values`, the rule `histogram`
+    applies (one-dimensional, finite, magnitude at most 1e150, non-negative,
+    positive total), under which no chord length, normal equation or score
+    overflows, and need at least 29 values, one per control point.  The
+    winning curve is held to the same rule, so data within a rounding error
+    of the bound may be refused once fitted.  Grid candidates lie in (0, 1),
+    the basis's rule, and a number is a one-candidate grid.  `n_samples` is
+    ignored (see SAMPLES_PER_DAY).  Exact ties go to the smaller omega.  A
+    candidate whose design is rank-deficient (gate (a)), whose normal
+    equations cannot be factorized, or whose x controls do not strictly
+    increase (gate (b)) is recorded with an infinite score and skipped, and
+    a non-finite score never wins; if no candidate scores finite,
+    IllConditionedError (a RuntimeError) is raised.  The selection depends
+    only on the candidate set, not on evaluation order.
     """
     f = check_window_values(getattr(data, "f", data))
     if f.size < NUM_PIECEWISE_BASIS:

@@ -2,9 +2,9 @@
 
 Input CSV layout: UTF-8, comma-separated, header `date,<label1>[,<label2>...]`
 with ISO dates (YYYY-MM-DD), one row per day with no gaps, non-negative
-counts, no missing cells.  Reporting-delay artifacts (a zero day followed by
-a doubled day) are handled by the centered 7-day moving average alone;
-nothing is imputed.
+counts of at most MAX_MAGNITUDE, no missing cells.  Reporting-delay artifacts
+(a zero day followed by a doubled day) are handled by the centered 7-day
+moving average alone; nothing is imputed.
 
 Analysis windows for the 18 bundled country presets each span exactly 500
 inclusive days; a window needs raw coverage of 3 extra days on each side
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from importlib import resources
@@ -26,6 +25,22 @@ MOVING_AVERAGE_WINDOW = 7
 _TRIM = MOVING_AVERAGE_WINDOW // 2
 
 _PRESET_RESOURCE = "data/country_windows.csv"
+
+# the largest magnitude of a value that any entry point accepts: below it
+# chord steps stay under 1.3e154, and sums, mean squares (up to about 1e6
+# days) and plot spans of such values stay finite
+MAX_MAGNITUDE = 1e150
+
+
+def _check_values(values, name: str = "values") -> np.ndarray:
+    """The one rule for every entry point's values, returned as floats: one
+    dimension, finite, magnitude at most MAX_MAGNITUDE.  `name` is for errors."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {values.shape}")
+    if not np.all(np.abs(values) <= MAX_MAGNITUDE):  # NaN compares false
+        raise ValueError(f"{name} must be finite (no NaN or inf) with magnitude at most {MAX_MAGNITUDE:g}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -82,7 +97,7 @@ def parse_csv(text: str) -> list[Series]:
     One leading byte-order mark (U+FEFF, as spreadsheet "CSV UTF-8" exports
     write it) is dropped.  Rejects a missing/duplicated header, malformed or
     non-contiguous dates, missing cells, cells past the csv module's field
-    size limit, and negative or non-finite values.
+    size limit, and negative values or values `_check_values` refuses.
     """
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
@@ -127,8 +142,9 @@ def parse_csv(text: str) -> list[Series]:
                 value = float(cell)
             except ValueError:
                 raise ValueError(f"row {row_num}: non-numeric value {cell!r}") from None
-            if not math.isfinite(value):
-                raise ValueError(f"row {row_num}: non-finite value in column {labels[col]!r}")
+            if not abs(value) <= MAX_MAGNITUDE:
+                what = f"value {cell!r} in column {labels[col]!r}"
+                raise ValueError(f"row {row_num}: {what} is not finite or above {MAX_MAGNITUDE:g}")
             if value < 0:
                 raise ValueError(f"row {row_num}: negative count {cell!r} in column {labels[col]!r}")
             columns[col].append(value)
@@ -142,11 +158,12 @@ def parse_csv(text: str) -> list[Series]:
 
 def moving_average_7(raw: Series) -> Series:
     """Centered 7-day moving average; output loses 3 days on each side."""
+    values = _check_values(raw.values)
     if len(raw) < MOVING_AVERAGE_WINDOW:
         raise ValueError(
             f"need at least {MOVING_AVERAGE_WINDOW} days of data, got {len(raw)}"
         )
-    sums = np.convolve(raw.values, np.ones(MOVING_AVERAGE_WINDOW), mode="valid")
+    sums = np.convolve(values, np.ones(MOVING_AVERAGE_WINDOW), mode="valid")
     return Series(
         raw.label,
         raw.start_date + timedelta(days=_TRIM),
@@ -181,15 +198,11 @@ def extract_window(smoothed: Series, window: WindowSpec) -> Series:
 def check_window_values(values) -> np.ndarray:
     """Validate one window of daily counts or fractions; return it as floats.
 
-    The values must be one-dimensional, finite and non-negative with a
-    positive total.  This is the one rule for what may be normalized into a
+    The values must pass `_check_values` and be non-negative with a positive
+    total.  This is the one rule for what may be normalized into a
     histogram distribution and what `fitting.fit` accepts.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError(f"values must be one-dimensional, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite (no NaN or inf)")
+    values = _check_values(values)
     if np.any(values < 0.0):
         raise ValueError("values must be non-negative")
     if not values.sum() > 0.0:

@@ -13,6 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .ingest import MAX_MAGNITUDE, _check_values
+
 
 class Peak(NamedTuple):
     day: int  # 1-based day index
@@ -31,18 +33,16 @@ class QuasiDistribution(NamedTuple):
 def normalize(signal: np.ndarray) -> tuple[float, np.ndarray]:
     """Rescale a signal to unit sum; returns (gamma, rescaled values).
 
-    The signal must be one-dimensional.  Negative cells are allowed (spline
-    undershoot); NaN and inf are not, and neither is a sum that is not
-    positive, which would flip or blow up the mass.
+    The signal must pass `ingest._check_values`.  Negative cells are allowed
+    (spline undershoot); a sum that is not positive, which would flip or
+    blow up the mass, is not, nor one too small to rescale within the bound.
     """
-    signal = np.asarray(signal, dtype=float)
-    if signal.ndim != 1:
-        raise ValueError(f"signal must be one-dimensional, got shape {signal.shape}")
-    if not np.all(np.isfinite(signal)):
-        raise ValueError("signal values must be finite (no NaN or inf)")
+    signal = _check_values(signal, "signal")
     total = float(signal.sum())
     if total <= 0.0:
         raise ValueError("cannot normalize a signal with zero sum or a negative sum")
+    if not total * MAX_MAGNITUDE >= max(1.0, float(np.abs(signal).max())):
+        raise ValueError(f"signal sum {total:g} is too small to rescale within magnitude {MAX_MAGNITUDE:g}")
     gamma = 1.0 / total
     return gamma, gamma * signal
 
@@ -54,7 +54,7 @@ def moments(values: np.ndarray) -> tuple[float, float]:
     """
     values = np.asarray(values, dtype=float)
     total = float(values.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # NaN compares false
         raise ValueError(f"values must sum to 1 (got {total!r}); normalize first")
     days = np.arange(1, values.size + 1, dtype=float)
     mean = float(days @ values)

@@ -3,10 +3,10 @@
 Everything emitted here is byte-deterministic for identical inputs: JSON
 uses a fixed key order and Python's shortest round-trip float repr, SVG
 coordinates are formatted to 6 significant digits.  One writer draws both
-plots, the panel and the overlay; it rejects curves that are not finite,
-one-dimensional and of one length.  Colors follow the series roles: green
-for the smoothed histogram signal, red/blue/black for
-confirmed/recovered/fatality fits.
+plots, the panel and the overlay.  Plotted curves, the panel's `omega` and
+variance, and a report's numbers must pass `ingest._check_values`.  Colors
+follow the series roles: green for the smoothed histogram signal,
+red/blue/black for confirmed/recovered/fatality fits.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .ingest import WindowSpec
+from .ingest import WindowSpec, _check_values
 from .quasidist import Peak, QuasiDistribution
 
 SVG_WIDTH = 900
@@ -58,7 +58,8 @@ def build_report(
     omega_grid_scores: list[tuple[float, float]],
 ) -> FitReport:
     """Assemble a FitReport from fit and quasi-distribution results."""
-    values = quasi.values
+    values = _check_values(quasi.values, "quasi-distribution values")
+    _check_values([omega, mse, quasi.gamma, quasi.mean, quasi.variance], "omega, mse and moments")
     negative_mass = float(abs(values[values < 0.0].sum()))  # abs avoids -0.0
     return FitReport(
         label=label,
@@ -162,24 +163,21 @@ def _text(value: str) -> str:
 def _plot(curves: list[tuple[str, np.ndarray, str]], title: str, note: str | None = None) -> str:
     """The one SVG writer: (label, values, color) curves on shared axes.
 
-    Every curve must hold finite values in one dimension, all of one
-    length.  The value axis runs from min(0, smallest value) to 1.05 times
-    the largest, and that span must be finite too.  A `note` goes under the title; without one, each curve
-    gets a legend row.
+    The curves must hold one number of values, at least one.  The value
+    axis runs from min(0, smallest value) to 1.05 times the largest.  A
+    `note` goes under the title; without one, each curve gets a legend row.
     """
-    arrays = [np.asarray(values, dtype=float) for _, values, _ in curves]
+    arrays = [_check_values(values, f"curve {label!r}") for label, values, _ in curves]
     n = arrays[0].size
+    if n == 0:
+        raise ValueError("curves must hold at least one value")
     for (label, _, _), values in zip(curves, arrays):
-        if values.shape != (n,):
+        if values.size != n:
             raise ValueError(f"curve {label!r} has shape {values.shape}, expected ({n},)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"curve {label!r} values must be finite (no NaN or inf)")
     lo = min(0.0, min(float(v.min()) for v in arrays))
     hi = 1.05 * max(float(v.max()) for v in arrays)
-    if hi <= lo:
-        hi = lo + 1.0
-    if not math.isfinite(hi - lo):
-        raise ValueError("curve values span more than a float can hold")
+    if hi <= lo:  # no value above the floor: a unit span, or up to 0 where rounding loses the unit
+        hi = lo + 1.0 if lo + 1.0 > lo else 0.0
 
     span_x = SVG_WIDTH - _ML - _MR
     span_y = SVG_HEIGHT - _MT - _MB
@@ -239,6 +237,7 @@ def emit_panel_svg(
 ) -> str:
     """One-series panel: green histogram signal plus role-colored fit, with
     `omega` and the variance noted under the title."""
+    _check_values([omega, variance], "omega and variance")
     return _plot(
         [("histogram", histogram, HISTOGRAM_COLOR), (label, fitted, series_color(label))],
         f"{label}: histogram and quasi-distribution fit",

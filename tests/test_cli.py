@@ -258,6 +258,27 @@ class TestFitCommand:
         assert err == "error: omega grid step must be positive and finite, got inf\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
+    @pytest.mark.parametrize(
+        "cells, row, cell",
+        [({20: "nan"}, 22, "nan"), ({20: "inf"}, 22, "inf"), ({15: "1e308", 25: "1e308"}, 17, "1e308")],
+    )
+    def test_value_outside_the_rule_is_one_error_line(self, tmp_path, cells, row, cell):
+        # two 1e308 counts ten days apart printed a RuntimeWarning, its source
+        # line and "zero total": the window's total overflowed
+        lines = ["date,cases"] + [
+            f"{date(2021, 1, 1) + timedelta(days=k)},{cells.get(k, '10')}" for k in range(46)
+        ]
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(qdfit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-m", "qdfit.cli", "fit", "--input", "data.csv", "--column", "cases"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 1
+        assert out.stderr == f"error: row {row}: value {cell!r} in column 'cases' is not finite or above 1e+150\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
     def test_omega_grid_stays_within_its_bounds(self, tmp_path):
         # 0.05 + 8 * 0.02 = 0.21 would pass --omega-max 0.2
         csv_path = tmp_path / "data.csv"

@@ -242,6 +242,19 @@ class TestCurveEvaluation:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             curve.at(np.array([0.5, t]))
 
+    @pytest.mark.parametrize("omega", [2.0, 0.0, 1.0, float("nan")])
+    def test_omega_outside_unit_interval_rejected(self, omega):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            PiecewiseCurve(omega, np.zeros((29, 2)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e151])
+    def test_controls_held_to_the_value_rule(self, bad):
+        # NaN controls made every curve value NaN
+        controls = np.ones((29, 2))
+        controls[7, 1] = bad
+        with pytest.raises(ValueError, match="controls must be finite"):
+            PiecewiseCurve(0.5, controls)
+
 
 class TestFusedDiscretization:
     """fit discretizes inside its loop, by the exact rule: day k takes y(t*_k)
@@ -450,7 +463,7 @@ class TestFit:
 
     def test_overflowing_chord_rejected(self):
         # finite values one 1e300 step apart: the chord length overflows
-        with pytest.raises(ValueError, match="chord lengths must be finite"):
+        with pytest.raises(ValueError, match=r"magnitude at most 1e\+150"):
             fit(np.r_[np.zeros(30), 1e300, np.zeros(30)])
 
     @pytest.mark.parametrize("n_days", [3, 28])

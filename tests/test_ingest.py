@@ -58,6 +58,15 @@ class TestParseCsv:
         with pytest.raises(ValueError, match="negative count"):
             parse_csv("date,x\n2020-03-01,-3\n")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e308", "1.0000000000000002e150"])
+    def test_value_outside_the_rule_named(self, cell):
+        with pytest.raises(ValueError, match=f"^row 3: value '{cell}' in column 'x' is not finite or above 1e\\+150$"):
+            parse_csv(f"date,x\n2020-03-01,1\n2020-03-02,{cell}\n")
+
+    def test_value_at_the_bound_accepted(self):
+        [series] = parse_csv("date,x\n2020-03-01,1e150\n")
+        assert series.values[0] == 1e150
+
     def test_malformed_date(self):
         with pytest.raises(ValueError, match="malformed date"):
             parse_csv("date,x\n03/01/2020,1\n")
@@ -132,6 +141,11 @@ class TestMovingAverage:
         raw = Series("x", date(2020, 11, 1), np.array(values))
         smoothed = moving_average_7(raw)
         assert (smoothed.values > 0.0).all()
+
+    @pytest.mark.parametrize("values", [np.full(10, np.nan), np.ones((2, 7)), np.full(10, 2e150)])
+    def test_values_held_to_the_rule(self, values):
+        with pytest.raises(ValueError, match="one-dimensional|finite"):
+            moving_average_7(Series("x", date(2020, 1, 1), values))
 
     def test_needs_seven_days(self):
         raw = Series("x", date(2020, 1, 1), np.arange(6, dtype=float))

@@ -34,6 +34,13 @@ class TestNormalize:
             with pytest.raises(ValueError, match="finite"):
                 call()
 
+    @pytest.mark.parametrize("signal", [[5e-324, 0.0, 0.0], [1e150, -1e150, 1e-300]])
+    def test_sum_too_small_to_rescale_rejected(self, signal):
+        # gamma or gamma * signal overflowed, with a RuntimeWarning
+        for call in (lambda: normalize(signal), lambda: quasi_distribution(signal)):
+            with pytest.raises(ValueError, match="too small to rescale"):
+                call()
+
     def test_two_dimensional_rejected(self):
         signal = np.ones((3, 4))
         for call in (lambda: normalize(signal), lambda: quasi_distribution(signal)):
@@ -89,6 +96,12 @@ class TestMoments:
     def test_requires_unit_sum(self):
         with pytest.raises(ValueError, match="sum to 1"):
             moments(np.array([0.2, 0.2]))
+
+    @pytest.mark.parametrize("bad", [[np.nan], [0.5, np.nan, 0.5]])
+    def test_nan_sum_rejected(self, bad):
+        # a NaN total is not within 1e-9 of 1: it returned (nan, nan)
+        with pytest.raises(ValueError, match="sum to 1"):
+            moments(np.array(bad))
 
     def test_shift_covariance(self):
         base = np.array([0.1, 0.2, 0.4, 0.2, 0.1])

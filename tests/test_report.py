@@ -187,6 +187,23 @@ def test_emitters_reject_non_finite_and_two_dimensional_values(bad):
             call()
 
 
+@pytest.mark.parametrize("omega, variance", [(np.nan, 2.0), (0.5, np.inf), (0.5, -np.nan)])
+def test_panel_rejects_non_finite_note(omega, variance):
+    # the note read "omega = nan" or "Var = inf"
+    with pytest.raises(ValueError, match="omega and variance must be finite"):
+        emit_panel_svg(np.ones(5), np.ones(5), "x", omega, variance)
+
+
+def test_emitters_reject_empty_curves():
+    # numpy refused the zero-size minimum in its own words
+    for call in (
+        lambda: emit_panel_svg([], [], "x", 0.5, 2.0),
+        lambda: emit_overlay_svg([("a", []), ("b", [])]),
+    ):
+        with pytest.raises(ValueError, match="at least one value"):
+            call()
+
+
 class TestSeriesColor:
     def test_roles(self):
         assert series_color("daily confirmed cases") == "red"
