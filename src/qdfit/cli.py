@@ -1,5 +1,9 @@
 """Command-line interface: fit one series or compare several.
 
+A window is a bundled preset (--country) or --begin with --days (default 500),
+not both, and must end in the calendar; without either flag, a command reads
+the whole smoothed range.
+
 Exit status is 0 iff every output file was written.  Exit 1 prints a one-line
 diagnostic on stderr and writes no file, also after a write error: a command
 fits every column first, and replaces its targets only after every output is
@@ -17,13 +21,13 @@ import contextlib
 import json
 import os
 import sys
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 
 from .fitting import DEFAULT_OMEGA_MAX, DEFAULT_OMEGA_MIN, DEFAULT_OMEGA_STEP, default_omega_grid, fit
-from .ingest import WindowSpec, extract_window, histogram, moving_average_7, parse_csv, preset_window
+from .ingest import WindowSpec, _shift, extract_window, histogram, moving_average_7, parse_csv, preset_window
 from .quasidist import QuasiDistribution, quasi_distribution
 from .report import FitReport, build_report, emit_json, emit_overlay_svg, emit_panel_svg
 
@@ -35,19 +39,13 @@ def _fit_columns(
 
     Writes nothing: a command fits every column before it writes a file.
     """
-    begin = date.fromisoformat(args.begin) if args.begin else None
-    end = date.fromisoformat(args.end) if args.end else None
-    if args.country and (begin or end):
-        raise ValueError("give either --country or --begin/--end, not both")
-    if end and not begin:
-        raise ValueError("--end requires --begin")
+    if args.country and args.begin:
+        raise ValueError("give either --country or --begin, not both")
     omega_grid = default_omega_grid(args.omega_min, args.omega_max, args.omega_step)
     window = preset_window(args.country) if args.country else None
-    if begin:
-        try:
-            end = end or begin + timedelta(days=args.days - 1)
-        except OverflowError:  # past 9999-12-31, or more days than a timedelta holds
-            raise ValueError(f"a window of {args.days} days from {begin} leaves the calendar") from None
+    if args.begin:
+        begin = date.fromisoformat(args.begin)
+        end = _shift(begin, args.days - 1, f"a window of {args.days} days from {begin}")
         window = WindowSpec("custom", begin, end)
 
     input_path = Path(args.input)
@@ -166,13 +164,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _add_fit_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", required=True, help="input CSV path (date,<columns...>)")
     sub.add_argument("--country", help="bundled preset window, e.g. Italy")
-    sub.add_argument("--begin", help="window start date (ISO), overrides presets")
-    sub.add_argument("--end", help="window end date (ISO)")
+    sub.add_argument("--begin", help="window start date (ISO), instead of --country")
     sub.add_argument(
         "--days",
         type=int,
         default=500,
-        help="window length when only --begin is given (default 500)",
+        help="window length from --begin (default 500); unused without --begin",
     )
     sub.add_argument("--omega-min", type=float, default=DEFAULT_OMEGA_MIN)
     sub.add_argument("--omega-max", type=float, default=DEFAULT_OMEGA_MAX)

@@ -333,12 +333,6 @@ def _day_values(
     return horner(coeffs[:, 2], us)
 
 
-def _kept_rows(arrays: tuple[np.ndarray, ...], keep: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The rows `keep` (a bool mask) of each array; the arrays themselves,
-    not copies, when every row is kept, as every row mostly is."""
-    return arrays if keep.all() else tuple(array[keep] for array in arrays)
-
-
 def _mean_square(signal: np.ndarray, f: np.ndarray) -> float:
     """`mse` for data the caller has checked already, as `fit` has."""
     diff = signal - f
@@ -384,10 +378,11 @@ def fit(
 ) -> FitResult:
     """Grid search over segmentation points; return the lowest-MSE candidate.
 
-    The data must pass `ingest.check_window_values`, the rule `histogram`
-    applies (one-dimensional, finite, magnitude at most 1e150, non-negative,
-    positive total), under which no chord length, normal equation or score
-    overflows, and need at least 29 values, one per control point.  The
+    The data are `histogram`'s unit-sum fractions: chord lengths weigh a day
+    against a unit of value, so raw counts may leave no candidate.  They must
+    pass `ingest.check_window_values` (one-dimensional, finite, magnitude at
+    most 1e150, non-negative, positive total), under which no chord length,
+    normal equation or score overflows, and need at least 29 values.  The
     winning curve is held to the same rule, so data within a rounding error
     of the bound may be refused once fitted.  Grid candidates lie in (0, 1),
     the basis's rule, and a number is a one-candidate grid.  `n_samples` is
@@ -421,12 +416,12 @@ def fit(
         full_rank = _full_rank(*split)  # gate (a)
         passed = np.flatnonzero(full_rank)
         if passed.size:
-            split = _kept_rows(split, full_rank)
+            split = tuple(part[full_rank] for part in split)
             design_stack = assemble_design(params, stack[passed], design[: passed.size], split)
             controls = solve_normal_equations(design_stack, points)
             # gate (b); a failed solve left NaN controls, which fail it too
             increasing = np.all(np.diff(controls[..., 0], axis=-1) > 0.0, axis=-1)
-            passed, controls, *split = _kept_rows((passed, controls, *split), increasing)
+            passed, controls, *split = (part[increasing] for part in (passed, controls, *split))
         if passed.size:
             # the design is dead once solved: the day values gather into it
             signals = _day_values(controls, *split, work=design)

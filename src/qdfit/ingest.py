@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass
 from datetime import date, timedelta
-from importlib import resources
 
 import numpy as np
 
 MOVING_AVERAGE_WINDOW = 7
 _TRIM = MOVING_AVERAGE_WINDOW // 2
 
-_PRESET_RESOURCE = "data/country_windows.csv"
+_PRESET_PATH = os.path.join(os.path.dirname(__file__), "data", "country_windows.csv")
 
 # the largest magnitude of a value that any entry point accepts: below it
 # chord steps stay under 1.3e154, and sums, mean squares (up to about 1e6
@@ -43,6 +43,14 @@ def _check_values(values, name: str = "values") -> np.ndarray:
     return values
 
 
+def _shift(day: date, days: int, what: str) -> date:
+    """`day` moved by `days` days; a day past the calendar is a ValueError naming `what`."""
+    try:
+        return day + timedelta(days=days)
+    except OverflowError:  # past a calendar end, or more days than a timedelta holds
+        raise ValueError(f"{what} leaves the calendar") from None
+
+
 @dataclass(frozen=True)
 class Series:
     """Contiguous daily values for one label: raw counts, their 7-day average, or a window."""
@@ -53,13 +61,14 @@ class Series:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        self.end_date  # the last day must lie in the calendar: checked once, for every use
 
     def __len__(self) -> int:
         return self.values.size
 
     @property
     def end_date(self) -> date:
-        return self.start_date + timedelta(days=len(self) - 1)
+        return _shift(self.start_date, len(self) - 1, f"a series of {len(self)} days from {self.start_date}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +175,7 @@ def moving_average_7(raw: Series) -> Series:
     sums = np.convolve(values, np.ones(MOVING_AVERAGE_WINDOW), mode="valid")
     return Series(
         raw.label,
-        raw.start_date + timedelta(days=_TRIM),
+        _shift(raw.start_date, _TRIM, "the smoothed start"),
         sums / MOVING_AVERAGE_WINDOW,
     )
 
@@ -200,7 +209,7 @@ def check_window_values(values) -> np.ndarray:
 
     The values must pass `_check_values` and be non-negative with a positive
     total.  This is the one rule for what may be normalized into a
-    histogram distribution and what `fitting.fit` accepts.
+    histogram distribution, and `fitting.fit` checks its fractions by it.
     """
     values = _check_values(values)
     if np.any(values < 0.0):
@@ -218,15 +227,11 @@ def histogram(smoothed: Series) -> HistogramDistribution:
 
 def load_presets() -> dict[str, WindowSpec]:
     """Bundled country -> analysis-window table, keyed by lowercased name."""
-    text = resources.files("qdfit").joinpath(_PRESET_RESOURCE).read_text(encoding="utf-8")
     presets: dict[str, WindowSpec] = {}
-    for row in csv.DictReader(io.StringIO(text)):
-        window = WindowSpec(
-            row["country"],
-            date.fromisoformat(row["begin"]),
-            date.fromisoformat(row["end"]),
-        )
-        presets[window.country.lower()] = window
+    with open(_PRESET_PATH, encoding="utf-8", newline="") as table:
+        for row in csv.DictReader(table):
+            begin, end = (date.fromisoformat(row[key]) for key in ("begin", "end"))
+            presets[row["country"].lower()] = WindowSpec(row["country"], begin, end)
     return presets
 
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
-from .ingest import WindowSpec, _check_values
+from .ingest import WindowSpec, _check_values, _shift
 from .quasidist import Peak, QuasiDistribution
 
 SVG_WIDTH = 900
@@ -71,7 +71,7 @@ def build_report(
         mean_day=float(quasi.mean),
         # round() rounds half to even: a mean exactly halfway between two
         # days takes the even day offset (round(2.5) == 2)
-        mean_date=window.begin + timedelta(days=round(quasi.mean - 1.0)),
+        mean_date=_shift(window.begin, round(quasi.mean - 1.0), f"mean day {quasi.mean:g} of {window.begin}"),
         variance=float(quasi.variance),
         peaks=list(quasi.peaks),
         min_value=float(values.min()),

@@ -222,6 +222,15 @@ class TestFitCommand:
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
+    def test_end_is_no_flag(self, tmp_path, capsys):
+        # --begin with --days names every explicit window
+        _write_csv(tmp_path / "data.csv", ["confirmed"])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fit", "--input", str(tmp_path / "data.csv"), "--column", "confirmed",
+                  "--begin", "2021-01-01", "--end", "2021-03-01"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --end" in capsys.readouterr().err
+
     def test_bad_omega_bounds(self, tmp_path, capsys):
         csv_path = tmp_path / "data.csv"
         _write_csv(csv_path, ["confirmed"])

@@ -97,14 +97,18 @@ def test_parse_csv(values):
     _outcome(lambda: parse_csv(_csv(np.atleast_2d(values))))
 
 
-@given(arrays())
-@example(np.r_[np.ones(10), 1e308, np.ones(9), 1e308, np.ones(10)])
-@example(np.full(2, 1e308))
-def test_series_stages(values):
-    series = Series("x", START, values)
+@given(arrays(), st.one_of(st.just(START), st.dates()))
+@example(np.r_[np.ones(10), 1e308, np.ones(9), 1e308, np.ones(10)], START)
+@example(np.full(2, 1e308), START)
+@example(np.ones(10), date(9999, 12, 25))  # the last day leaves the calendar
+@example(np.ones(10), date(9999, 12, 29))  # and so would the smoothed start
+@example(np.array([]), date.min)
+def test_series_stages(values, start):
+    series = _outcome(lambda: Series("x", start, values))
+    if series is None:
+        return
     _outcome(lambda: moving_average_7(series))
-    last = START + timedelta(days=max(len(series), 1) - 1)
-    _outcome(lambda: extract_window(series, WindowSpec("custom", START, last)))
+    _outcome(lambda: extract_window(series, WindowSpec("custom", start, series.end_date)))
     _outcome(lambda: histogram(series))
 
 
@@ -153,6 +157,7 @@ def test_piecewise_curve(omega, controls, ts):
 @given(arrays(st.floats(min_value=-10.0, max_value=100.0)), scalars, fractions, scalars)
 @example(np.full(2, 1e308), 0.5, 0.05, 1e-3)
 @example(np.ones(5), math.nan, 0.05, 1e-3)
+@example(np.array([-1.0, 1.0 + 1e-9]), 0.5, 0.05, 1e-3)  # a mean 1e9 days into the window
 def test_quasi_distribution_and_report(signal, omega, prominence, mse):
     quasi = _outcome(lambda: quasi_distribution(signal, prominence))
     if quasi is None:

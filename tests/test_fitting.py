@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import qdfit
 import qdfit.basis as basis
 import qdfit.fitting as fitting
 from qdfit.basis import NUM_PIECEWISE_BASIS, piecewise_basis_matrix
@@ -24,6 +27,45 @@ from qdfit.fitting import (
 )
 from fit_oracle import bisect_day_values, day_values, pp_eval, pp_spans
 from synthetic import greville_abscissae, linear_day_curve, roundtrip_data, two_bump_counts
+
+
+# two cycles of the library pipeline; prints the second cycle's minor faults
+PIPELINE_CYCLES = """
+import datetime, resource
+import numpy as np
+from qdfit import (WindowSpec, build_report, emit_json, emit_panel_svg, extract_window, fit,
+                   histogram, moving_average_7, parse_csv, quasi_distribution)
+
+rng = np.random.default_rng(5)
+texts = []
+for n_days in (29, 60, 120, 250, 500):
+    x = np.arange(n_days + 6) / (n_days + 5)
+    for mean in (
+        10 + 1000 * np.exp(-(((x - 0.4) / 0.12) ** 2)),
+        10 + 800 * np.exp(-(((x - 0.3) / 0.08) ** 2)) + 500 * np.exp(-(((x - 0.7) / 0.1) ** 2)),
+        np.where(x < 0.45, 200.0, 500.0),
+    ):
+        counts = rng.poisson(mean)
+        days = (datetime.date(2021, 1, 1) + datetime.timedelta(days=k) for k in range(counts.size))
+        texts.append("date,cases\\n" + "".join(f"{d},{c:.3f}\\n" for d, c in zip(days, counts)))
+
+def cycle():
+    for text in texts:
+        [raw] = parse_csv(text)
+        smoothed = moving_average_7(raw)
+        window = WindowSpec("custom", smoothed.start_date, smoothed.end_date)
+        data = histogram(extract_window(smoothed, window))
+        result = fit(data)
+        quasi = quasi_distribution(result.discretized)
+        report = build_report("cases", window, result.omega, result.mse, quasi, result.omega_grid_scores)
+        emit_json(report)
+        emit_panel_svg(data.f, quasi.values, "cases", report.omega, report.variance)
+
+cycle()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+cycle()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 class TestChordLengthParams:
@@ -515,6 +557,19 @@ class TestFit:
             assert after - before < 5000, n_days
             fit(f)
             assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - after < 64, n_days
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux minor-fault counts")
+    def test_repeat_pipeline_does_not_refault_its_memory(self):
+        # the library pipeline over noisy 29..500-day windows of three shapes,
+        # as the benchmark's warm workload runs it, in a fresh process.  A
+        # repeated cycle took 4-49 minor faults on a 2-vCPU Xeon.  Without the
+        # fit-wide design buffer, and so without the basis's `out=` and the day
+        # values' `work=`, it took 2158-4330, as each stack's design went back
+        # to the OS; the two tests above pass without that buffer
+        src = os.path.dirname(os.path.dirname(qdfit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", PIPELINE_CYCLES], env=env, capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 1000
 
     def test_peak_memory_per_stacked_row(self):
         # a fit's transient memory per design row of a full stack: the design

@@ -122,6 +122,16 @@ class TestParseCsv:
             np.testing.assert_array_equal(back.values, original.values)
 
 
+class TestSeries:
+    def test_last_day_must_lie_in_the_calendar(self):
+        assert Series("x", date(9999, 12, 22), np.ones(10)).end_date == date(9999, 12, 31)
+        for start in (date(9999, 12, 23), date(9999, 12, 29)):
+            with pytest.raises(ValueError, match=f"^a series of 10 days from {start} leaves the calendar$"):
+                Series("x", start, np.ones(10))
+        with pytest.raises(ValueError, match="^a series of 0 days from 0001-01-01 leaves the calendar$"):
+            Series("x", date.min, np.ones(0))
+
+
 class TestMovingAverage:
     def test_single_window_mean(self):
         raw = Series("x", date(2020, 11, 4), np.array(FINLAND_PATTERN + [100.0, 200.0]))

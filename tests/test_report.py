@@ -1,3 +1,4 @@
+import re
 import xml.etree.ElementTree as ET
 from datetime import date
 
@@ -41,6 +42,12 @@ class TestBuildReport:
         report = _report()
         # day 1 is the window start; mean 3.3 rounds to +2 days
         assert report.mean_date == date(2020, 3, 3)
+
+    @pytest.mark.parametrize(("begin", "mean"), [(date.min, -1.0), (WINDOW.begin, 1e9), (WINDOW.begin, 1e150)])
+    def test_mean_date_past_the_calendar_rejected(self, begin, mean):
+        quasi = QuasiDistribution(np.array([0.5, 0.5]), 1.0, mean, 1.0, [])
+        with pytest.raises(ValueError, match=re.escape(f"mean day {mean:g} of {begin} leaves the calendar")):
+            build_report("x", WindowSpec("custom", begin, WINDOW.end), 0.5, 0.0, quasi, [])
 
     def test_diagnostics(self):
         values = np.array([-0.01, 0.5, -0.02, 0.53])
