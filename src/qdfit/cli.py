@@ -11,7 +11,9 @@ written beside them.  The CLI checks the flags and files it alone reads
 (missing file or column, a repeated compare column, a label that names an
 output file but is no plain file name, two outputs on one file), and passes on
 the library's message for a rule on the fit's input (window under 29 days,
-all-zero window, omega grid, prominence, no usable segmentation point).
+all-zero window, no usable segmentation point).  Every fit scores the fixed
+omega grid 0.10..0.90 by 0.01 and keeps peaks of prominence at least 0.05 of
+the maximum.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ import contextlib
 import json
 import os
 import sys
-from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from .fitting import DEFAULT_OMEGA_MAX, DEFAULT_OMEGA_MIN, DEFAULT_OMEGA_STEP, default_omega_grid, fit
-from .ingest import WindowSpec, _shift, extract_window, histogram, moving_average_7, parse_csv, preset_window
+from .fitting import default_omega_grid, fit
+from .ingest import (
+    WindowSpec, _iso_date, _shift, extract_window, histogram, moving_average_7, parse_csv, preset_window,
+)
 from .quasidist import QuasiDistribution, quasi_distribution
 from .report import FitReport, build_report, emit_json, emit_overlay_svg, emit_panel_svg
 
@@ -41,10 +44,9 @@ def _fit_columns(
     """
     if args.country and args.begin:
         raise ValueError("give either --country or --begin, not both")
-    omega_grid = default_omega_grid(args.omega_min, args.omega_max, args.omega_step)
     window = preset_window(args.country) if args.country else None
     if args.begin:
-        begin = date.fromisoformat(args.begin)
+        begin = _iso_date(args.begin, "--begin")
         end = _shift(begin, args.days - 1, f"a window of {args.days} days from {begin}")
         window = WindowSpec("custom", begin, end)
 
@@ -61,8 +63,8 @@ def _fit_columns(
         smoothed = moving_average_7(by_label[label])
         span = window or WindowSpec("full-range", smoothed.start_date, smoothed.end_date)
         data = histogram(extract_window(smoothed, span))
-        result = fit(data, omega_grid)
-        quasi = quasi_distribution(result.discretized, args.prominence)
+        result = fit(data, default_omega_grid())
+        quasi = quasi_distribution(result.discretized)
         report = build_report(label, span, result.omega, result.mse, quasi, result.omega_grid_scores)
         fitted.append((data.f, quasi, report))
     return fitted
@@ -164,21 +166,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _add_fit_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", required=True, help="input CSV path (date,<columns...>)")
     sub.add_argument("--country", help="bundled preset window, e.g. Italy")
-    sub.add_argument("--begin", help="window start date (ISO), instead of --country")
+    sub.add_argument("--begin", help="window start date (YYYY-MM-DD), instead of --country")
     sub.add_argument(
         "--days",
         type=int,
         default=500,
         help="window length from --begin (default 500); unused without --begin",
-    )
-    sub.add_argument("--omega-min", type=float, default=DEFAULT_OMEGA_MIN)
-    sub.add_argument("--omega-max", type=float, default=DEFAULT_OMEGA_MAX)
-    sub.add_argument("--omega-step", type=float, default=DEFAULT_OMEGA_STEP)
-    sub.add_argument(
-        "--prominence",
-        type=float,
-        default=0.05,
-        help="peak prominence floor as a fraction of the maximum (default 0.05)",
     )
     sub.add_argument("--json-out", help="report JSON path (fit) or directory (compare)")
     sub.add_argument("--svg-out", help="panel/overlay SVG path")

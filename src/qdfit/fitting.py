@@ -53,13 +53,6 @@ from .basis import (
 )
 from .ingest import _check_values, check_window_values
 
-DEFAULT_OMEGA_MIN = 0.10
-DEFAULT_OMEGA_MAX = 0.90
-DEFAULT_OMEGA_STEP = 0.01
-# most candidates `default_omega_grid` builds, over 1000 times the default
-# grid's 81; a finer step is refused before anything is allocated
-MAX_OMEGA_CANDIDATES = 10**5
-
 # samples per day of the max-below rule of `sample_curve` and `discretize`,
 # which `fit` no longer uses; `fit` ignores its n_samples.  The benchmark
 # still binds these names; they go with its next change (ROADMAP item 3)
@@ -348,27 +341,9 @@ def mse(signal: np.ndarray, data) -> float:
     return _mean_square(signal, target)
 
 
-def default_omega_grid(
-    lo: float = DEFAULT_OMEGA_MIN,
-    hi: float = DEFAULT_OMEGA_MAX,
-    step: float = DEFAULT_OMEGA_STEP,
-) -> np.ndarray:
-    """Uniform candidate grid, inclusive of both ends (default 0.10..0.90 by 0.01).
-
-    A grid of more than MAX_OMEGA_CANDIDATES candidates is refused.
-    """
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"omega grid step must be positive and finite, got {step:g}")
-    if not (0.0 < lo <= hi < 1.0):
-        raise ValueError("omega grid bounds must satisfy 0 < lo <= hi < 1")
-    steps = (hi - lo) / step * (1.0 + 1e-9)  # steps within hi, division noise forgiven
-    if not steps < MAX_OMEGA_CANDIDATES:
-        raise ValueError(
-            f"omega grid step {step:g} gives {steps + 1:.6g} candidates, more than {MAX_OMEGA_CANDIDATES}"
-        )
-    count = int(steps) + 1
-    grid = np.round(lo + step * np.arange(count), 12)  # drop float-step noise
-    return np.clip(grid, lo, hi)  # the rounding may not leave [lo, hi]
+def default_omega_grid() -> np.ndarray:
+    """The candidate grid of the CLI: 0.10..0.90 by 0.01, 81 values."""
+    return np.arange(10, 91) / 100
 
 
 def fit(

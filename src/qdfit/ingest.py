@@ -1,8 +1,9 @@
 """CSV ingestion: daily counts -> smoothed series -> histogram distribution.
 
 Input CSV layout: UTF-8, comma-separated, header `date,<label1>[,<label2>...]`
-with ISO dates (YYYY-MM-DD), one row per day with no gaps, non-negative
-counts of at most MAX_MAGNITUDE, no missing cells.  Reporting-delay artifacts
+with dates spelled YYYY-MM-DD and no other ISO form, on every Python (so not
+20210104 or 2021-W01-1), one row per day with no gaps, non-negative counts of
+at most MAX_MAGNITUDE, no missing cells.  Reporting-delay artifacts
 (a zero day followed by a doubled day) are handled by the centered 7-day
 moving average alone; nothing is imputed.
 
@@ -41,6 +42,19 @@ def _check_values(values, name: str = "values") -> np.ndarray:
     if not np.all(np.abs(values) <= MAX_MAGNITUDE):  # NaN compares false
         raise ValueError(f"{name} must be finite (no NaN or inf) with magnitude at most {MAX_MAGNITUDE:g}")
     return values
+
+
+def _iso_date(text: str, what: str) -> date:
+    """The date `text` spells as YYYY-MM-DD; any other text is a ValueError
+    naming `what`.  Python 3.11's `date.fromisoformat` alone would also read
+    20210104 and 2021-W01-1, which 3.10's refuses."""
+    try:
+        day = date.fromisoformat(text)
+        if day.isoformat() == text:
+            return day
+    except ValueError:
+        pass
+    raise ValueError(f"{what}: malformed date {text!r}")
 
 
 def _shift(day: date, days: int, what: str) -> date:
@@ -131,10 +145,7 @@ def parse_csv(text: str) -> list[Series]:
             continue  # ignore blank lines
         if len(row) != len(header):
             raise ValueError(f"row {row_num}: expected {len(header)} cells, got {len(row)}")
-        try:
-            day = date.fromisoformat(row[0].strip())
-        except ValueError:
-            raise ValueError(f"row {row_num}: malformed date {row[0]!r}") from None
+        day = _iso_date(row[0].strip(), f"row {row_num}")
         if dates:
             gap = (day - dates[-1]).days
             if gap != 1:
@@ -230,7 +241,7 @@ def load_presets() -> dict[str, WindowSpec]:
     presets: dict[str, WindowSpec] = {}
     with open(_PRESET_PATH, encoding="utf-8", newline="") as table:
         for row in csv.DictReader(table):
-            begin, end = (date.fromisoformat(row[key]) for key in ("begin", "end"))
+            begin, end = (_iso_date(row[key], f"preset {row['country']} {key}") for key in ("begin", "end"))
             presets[row["country"].lower()] = WindowSpec(row["country"], begin, end)
     return presets
 

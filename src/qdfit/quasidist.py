@@ -15,6 +15,9 @@ import numpy as np
 
 from .ingest import MAX_MAGNITUDE, _check_values
 
+# the peak floor of `quasi_distribution`, as a fraction of the maximum
+PROMINENCE_FRAC = 0.05
+
 
 class Peak(NamedTuple):
     day: int  # 1-based day index
@@ -62,7 +65,7 @@ def moments(values: np.ndarray) -> tuple[float, float]:
     return mean, variance
 
 
-def find_peaks(values: np.ndarray, prominence_frac: float = 0.05) -> list[Peak]:
+def find_peaks(values: np.ndarray, prominence_frac: float = PROMINENCE_FRAC) -> list[Peak]:
     """Local maxima with prominence at least prominence_frac * max(values).
 
     A peak is a run of equal samples strictly higher than the runs on both
@@ -95,10 +98,9 @@ def find_peaks(values: np.ndarray, prominence_frac: float = 0.05) -> list[Peak]:
     return peaks
 
 
-def quasi_distribution(
-    signal: np.ndarray, prominence_frac: float = 0.05
-) -> QuasiDistribution:
-    """Normalize a discretized fitted signal and compute its summary stats."""
+def quasi_distribution(signal: np.ndarray) -> QuasiDistribution:
+    """Normalize a discretized fitted signal and compute its summary stats;
+    its peaks are those of prominence at least PROMINENCE_FRAC of the maximum."""
     gamma, values = normalize(signal)
     mean, variance = moments(values)
-    return QuasiDistribution(values, gamma, mean, variance, find_peaks(values, prominence_frac))
+    return QuasiDistribution(values, gamma, mean, variance, find_peaks(values, PROMINENCE_FRAC))

@@ -28,9 +28,6 @@ def _write_csv(path, columns, n_days=96, start=date(2021, 1, 1)):
     return start, n_days
 
 
-FIT_SPEED_FLAGS = ["--omega-step", "0.1"]
-
-
 def _write_italy_csv(path):
     """One 'deaths' column covering the Italy preset window with 3-day margins."""
     start = date(2020, 2, 18)
@@ -53,7 +50,6 @@ class TestFitCommand:
             ["fit", "--input", str(csv_path), "--column", "confirmed",
              "--begin", start.isoformat(), "--days", str(n_days),
              "--json-out", str(json_out), "--svg-out", str(svg_out)]
-            + FIT_SPEED_FLAGS
         )
         assert code == 0
         report = parse_report(json_out.read_text())
@@ -93,7 +89,7 @@ class TestFitCommand:
         days = [date(2021, 1, 1) + timedelta(days=k) for k in range(80)]
         text = "date,x\n" + "\n".join(f"{d.isoformat()},0" for d in days) + "\n"
         csv_path.write_text(text, encoding="utf-8")
-        code = main(["fit", "--input", str(csv_path), "--column", "x"] + FIT_SPEED_FLAGS)
+        code = main(["fit", "--input", str(csv_path), "--column", "x"])
         assert code == 1
         assert "zero total" in capsys.readouterr().err
 
@@ -106,7 +102,7 @@ class TestFitCommand:
         lines = csv_path.read_text(encoding="utf-8").splitlines()
         lines[5] += "0" * csv.field_size_limit()  # row 6's count, lengthened
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code = main(["fit", "--input", str(csv_path), "--column", "confirmed"] + FIT_SPEED_FLAGS)
+        code = main(["fit", "--input", str(csv_path), "--column", "confirmed"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: row 6: field larger than field limit") and err.count("\n") == 1
@@ -122,14 +118,14 @@ class TestFitCommand:
             args = ["fit", "--input", str(csv_path), "--column", "confirmed",
                     "--json-out", str(csv_path.with_suffix(".json")),
                     "--svg-out", str(csv_path.with_suffix(".svg"))]
-            assert main(args + FIT_SPEED_FLAGS) == 0
+            assert main(args) == 0
         assert marked.with_suffix(".json").read_bytes() == plain.with_suffix(".json").read_bytes()
 
     def test_default_output_paths(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         csv_path = tmp_path / "data.csv"
         _write_csv(csv_path, ["confirmed"])
-        code = main(["fit", "--input", str(csv_path), "--column", "confirmed"] + FIT_SPEED_FLAGS)
+        code = main(["fit", "--input", str(csv_path), "--column", "confirmed"])
         assert code == 0
         assert (tmp_path / "confirmed.report.json").exists()
         assert (tmp_path / "confirmed.panel.svg").exists()
@@ -143,7 +139,7 @@ class TestFitCommand:
         monkeypatch.chdir(work)
         csv_path = tmp_path / "data.csv"
         _write_csv(csv_path, [label])
-        code = main(["fit", "--input", str(csv_path), "--column", label] + FIT_SPEED_FLAGS)
+        code = main(["fit", "--input", str(csv_path), "--column", label])
         assert code == 1
         assert "cannot name an output file" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "work"]
@@ -157,7 +153,7 @@ class TestFitCommand:
         start, n_days = _write_csv(csv_path, ["../escaped"])
         json_out, svg_out = tmp_path / "r.json", tmp_path / "p.svg"
         args = ["fit", "--input", str(csv_path), "--column", "../escaped",
-                "--begin", start.isoformat(), "--days", str(n_days)] + FIT_SPEED_FLAGS
+                "--begin", start.isoformat(), "--days", str(n_days)]
         assert main(args + ["--json-out", str(json_out)]) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "work"]
         assert main(args + ["--json-out", str(json_out), "--svg-out", str(svg_out)]) == 0
@@ -176,7 +172,6 @@ class TestFitCommand:
                     ["fit", "--input", str(csv_path), "--column", "confirmed",
                      "--begin", start.isoformat(), "--days", str(n_days),
                      "--json-out", str(json_out), "--svg-out", str(svg_out)]
-                    + FIT_SPEED_FLAGS
                 )
                 == 0
             )
@@ -191,7 +186,6 @@ class TestFitCommand:
             ["fit", "--input", str(csv_path), "--column", "confirmed",
              "--begin", start.isoformat(), "--days", "64",
              "--json-out", str(json_out), "--svg-out", str(tmp_path / "p.svg")]
-            + FIT_SPEED_FLAGS
         )
         assert code == 0
         report = parse_report(json_out.read_text())
@@ -231,40 +225,24 @@ class TestFitCommand:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --end" in capsys.readouterr().err
 
-    def test_bad_omega_bounds(self, tmp_path, capsys):
-        csv_path = tmp_path / "data.csv"
-        _write_csv(csv_path, ["confirmed"])
-        code = main(
-            ["fit", "--input", str(csv_path), "--column", "confirmed", "--omega-min", "0.9",
-             "--omega-max", "0.2"]
-        )
-        assert code == 1
-        assert "omega" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "knob", [["--omega-min", "0.2"], ["--omega-max", "0.8"], ["--omega-step", "0.1"], ["--prominence", "0.1"]]
+    )
+    def test_fitting_knob_is_no_flag(self, tmp_path, capsys, knob):
+        # every fit scores the one omega grid and keeps peaks above the one floor
+        _write_csv(tmp_path / "data.csv", ["confirmed"])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fit", "--input", str(tmp_path / "data.csv"), "--column", "confirmed", *knob])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(knob)}" in capsys.readouterr().err
 
-    def test_omega_step_too_fine_rejected(self, tmp_path, monkeypatch, capsys):
-        # 1e-9 would make an 800-million-candidate grid; it is refused unallocated
+    @pytest.mark.parametrize("begin", ["2021-13-01", "20210104", "2021-W01-1"])
+    def test_malformed_begin_named(self, tmp_path, monkeypatch, capsys, begin):
+        # Python 3.11+'s date.fromisoformat alone would read 20210104 and 2021-W01-1
         monkeypatch.chdir(tmp_path)
-        start, n_days = _write_csv(tmp_path / "data.csv", ["confirmed"])
-        code = main(
-            ["fit", "--input", "data.csv", "--column", "confirmed", "--begin", start.isoformat(),
-             "--days", str(n_days), "--omega-step", "1e-9"]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == "error: omega grid step 1e-09 gives 8e+08 candidates, more than 100000\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
-
-    def test_infinite_omega_step_is_one_error_line(self, tmp_path, monkeypatch, capsys):
-        # inf * 0 made the grid [nan], with a RuntimeWarning on stderr first
-        monkeypatch.chdir(tmp_path)
-        start, n_days = _write_csv(tmp_path / "data.csv", ["confirmed"])
-        code = main(
-            ["fit", "--input", "data.csv", "--column", "confirmed", "--begin", start.isoformat(),
-             "--days", str(n_days), "--omega-step", "inf"]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == "error: omega grid step must be positive and finite, got inf\n"
+        _write_csv(tmp_path / "data.csv", ["confirmed"])
+        assert main(["fit", "--input", "data.csv", "--column", "confirmed", "--begin", begin]) == 1
+        assert capsys.readouterr().err == f"error: --begin: malformed date {begin!r}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
     @pytest.mark.parametrize(
@@ -288,22 +266,6 @@ class TestFitCommand:
         assert out.stderr == f"error: row {row}: value {cell!r} in column 'cases' is not finite or above 1e+150\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
-    def test_omega_grid_stays_within_its_bounds(self, tmp_path):
-        # 0.05 + 8 * 0.02 = 0.21 would pass --omega-max 0.2
-        csv_path = tmp_path / "data.csv"
-        start, n_days = _write_csv(csv_path, ["confirmed"])
-        json_out = tmp_path / "r.json"
-        code = main(
-            ["fit", "--input", str(csv_path), "--column", "confirmed",
-             "--begin", start.isoformat(), "--days", str(n_days),
-             "--omega-min", "0.05", "--omega-max", "0.2", "--omega-step", "0.02",
-             "--json-out", str(json_out), "--svg-out", str(tmp_path / "p.svg")]
-        )
-        assert code == 0
-        report = parse_report(json_out.read_text())
-        omegas = sorted(w for w, _ in report.omega_grid_scores)
-        np.testing.assert_array_equal(omegas, np.arange(5, 20, 2) / 100)
-
     def test_country_and_begin_conflict(self, tmp_path, capsys):
         csv_path = tmp_path / "data.csv"
         _write_csv(csv_path, ["confirmed"])
@@ -322,7 +284,6 @@ class TestFitCommand:
             ["fit", "--input", str(csv_path), "--column", "deaths",
              "--country", "Italy",
              "--json-out", str(json_out), "--svg-out", str(tmp_path / "p.svg")]
-            + FIT_SPEED_FLAGS
         )
         assert code == 0
         report = parse_report(json_out.read_text())
@@ -339,24 +300,9 @@ class TestFitCommand:
             ["fit", "--input", str(csv_path), "--column", "deaths",
              "--country", "Italy", "--days", "10",
              "--json-out", str(json_out), "--svg-out", str(tmp_path / "p.svg")]
-            + FIT_SPEED_FLAGS
         )
         assert code == 0
         assert parse_report(json_out.read_text()).days == 500
-
-    def test_prominence_out_of_range_rejected(self, tmp_path, capsys):
-        csv_path = tmp_path / "data.csv"
-        start, n_days = _write_csv(csv_path, ["confirmed"])
-        json_out, svg_out = tmp_path / "r.json", tmp_path / "p.svg"
-        code = main(
-            ["fit", "--input", str(csv_path), "--column", "confirmed",
-             "--begin", start.isoformat(), "--days", str(n_days), "--prominence", "1.5",
-             "--json-out", str(json_out), "--svg-out", str(svg_out)]
-            + FIT_SPEED_FLAGS
-        )
-        assert code == 1
-        assert "prominence fraction" in capsys.readouterr().err
-        assert not json_out.exists() and not svg_out.exists()
 
 
 class TestCompareCommand:
@@ -370,7 +316,6 @@ class TestCompareCommand:
              "--columns", "confirmed,recovered,fatality",
              "--begin", start.isoformat(), "--days", str(n_days),
              "--json-out", str(out_dir), "--svg-out", str(svg_out)]
-            + FIT_SPEED_FLAGS
         )
         assert code == 0
         assert svg_out.read_text().count("<polyline") == 3
@@ -399,7 +344,7 @@ class TestCompareCommand:
         _write_csv(csv_path, ["confirmed", label])
         code = main(
             ["compare", "--input", str(csv_path), "--columns", f"confirmed,{label}",
-             "--json-out", "out"] + FIT_SPEED_FLAGS
+             "--json-out", "out"]
         )
         assert code == 1
         assert "cannot name an output file" in capsys.readouterr().err
@@ -412,7 +357,6 @@ class TestCompareCommand:
         _write_csv(csv_path, ["c", "d"])
         code = main(
             ["compare", "--input", str(csv_path), "--columns", "c,d,c", "--json-out", "out"]
-            + FIT_SPEED_FLAGS
         )
         assert code == 1
         assert "repeats" in capsys.readouterr().err
@@ -431,7 +375,6 @@ class TestCompareCommand:
             ["compare", "--input", str(csv_path), "--columns", "a,b",
              "--begin", "2021-01-01", "--days", "64",
              "--json-out", str(out_dir), "--svg-out", str(tmp_path / "o.svg")]
-            + FIT_SPEED_FLAGS
         )
         assert code == 0
         a = json.loads((out_dir / "a.report.json").read_text())
@@ -449,7 +392,6 @@ class TestCompareCommand:
         csv_path.write_text("date,a,b\n" + "\n".join(rows) + "\n", encoding="utf-8")
         code = main(
             ["compare", "--input", str(csv_path), "--columns", "a,b", "--json-out", "out3"]
-            + FIT_SPEED_FLAGS
         )
         assert code == 1
         assert "zero total" in capsys.readouterr().err
@@ -484,7 +426,7 @@ class TestOutputs:
         (tmp_path / "d").mkdir()
         columns = ["--column", "confirmed"] if command == "fit" else ["--columns", "confirmed,recovered"]
         before = _snapshot(tmp_path)
-        assert main([command, "--input", "data.csv", *columns, *outputs] + FIT_SPEED_FLAGS) == 1
+        assert main([command, "--input", "data.csv", *columns, *outputs]) == 1
         captured = capsys.readouterr()
         assert message in captured.err and ".tmp" not in captured.err
         assert captured.out == ""
@@ -496,7 +438,7 @@ class TestOutputs:
         (tmp_path / "o.svg").write_text("an older overlay\n", encoding="utf-8")
         code = main(
             ["compare", "--input", "data.csv", "--columns", "confirmed,recovered",
-             "--json-out", "new/sub", "--svg-out", "o.svg"] + FIT_SPEED_FLAGS
+             "--json-out", "new/sub", "--svg-out", "o.svg"]
         )
         assert code == 0
         assert sorted(_snapshot(tmp_path)) == [

@@ -71,6 +71,12 @@ class TestParseCsv:
         with pytest.raises(ValueError, match="malformed date"):
             parse_csv("date,x\n03/01/2020,1\n")
 
+    @pytest.mark.parametrize("day", ["20210101", "2021-W01-5"])
+    def test_date_spelled_otherwise_than_yyyy_mm_dd_refused(self, day):
+        # Python 3.11+'s date.fromisoformat alone would read these
+        with pytest.raises(ValueError, match=f"^row 2: malformed date '{day}'$"):
+            parse_csv(f"date,x\n{day},1\n")
+
     def test_missing_value(self):
         with pytest.raises(ValueError, match="missing value"):
             parse_csv("date,x,y\n2020-03-01,1,\n")

@@ -172,7 +172,7 @@ class TestFindPeaks:
 class TestQuasiDistribution:
     def test_composition(self):
         signal = np.array([0.0, 1.0, 0.0, 2.0, 1.0])
-        quasi = quasi_distribution(signal, prominence_frac=0.05)
+        quasi = quasi_distribution(signal)
         assert quasi.gamma == pytest.approx(0.25)
         assert quasi.values.sum() == pytest.approx(1.0, abs=1e-12)
         assert quasi.mean == pytest.approx(moments(quasi.values)[0])
