@@ -9,11 +9,11 @@ diagnostic on stderr and writes no file, also after a write error: a command
 fits every column first, and replaces its targets only after every output is
 written beside them.  The CLI checks the flags and files it alone reads
 (missing file or column, a repeated compare column, a label that names an
-output file but is no plain file name, two outputs on one file), and passes on
-the library's message for a rule on the fit's input (window under 29 days,
-all-zero window, no usable segmentation point).  Every fit scores the fixed
-omega grid 0.10..0.90 by 0.01 and keeps peaks of prominence at least 0.05 of
-the maximum.
+output file but is no plain file name, two outputs on one file, an output on
+the input file), and passes on the library's message for a rule on the fit's
+input (window under 29 days, all-zero window, no usable segmentation point).
+Every fit scores the fixed omega grid 0.10..0.90 by 0.01 and keeps peaks of
+prominence at least 0.05 of the maximum.
 """
 
 from __future__ import annotations
@@ -83,15 +83,19 @@ def _summary_line(report: FitReport) -> str:
     )
 
 
-def _write_outputs(outputs: list[tuple[Path, str]]) -> None:
+def _write_outputs(outputs: list[tuple[Path, str]], source: str) -> None:
     """Write every (path, text) output or none.
 
-    Two outputs on one file, or an output path that is a directory, fail first.
-    Each text goes to a temporary file beside its target, and the files replace
-    their targets once all are written; an error removes the temporary files.
+    An output on the input file `source` or on another output, or on a
+    directory, fails first.  Each text goes to a temporary file beside its
+    target, and these replace the targets once all are written; an error
+    removes the temporary files.
     """
+    source = os.path.realpath(source)
     reals = [os.path.realpath(path) for path, _ in outputs]
     for k, (path, _) in enumerate(outputs):
+        if reals[k] == source:
+            raise ValueError(f"an output names the input file: {path}")
         if reals[k] in reals[:k]:
             raise ValueError(f"two outputs name one file: {path}")
         if os.path.isdir(reals[k]):
@@ -122,7 +126,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     _write_outputs([
         (json_path, emit_json(report)),
         (svg_path, emit_panel_svg(f, quasi.values, label, report.omega, report.variance)),
-    ])
+    ], args.input)
     print(_summary_line(report))
     print(f"wrote {json_path} and {svg_path}")
     return 0
@@ -151,7 +155,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_outputs(outputs)
+        _write_outputs(outputs, args.input)
     except (ValueError, OSError):
         for d in made:
             with contextlib.suppress(OSError):

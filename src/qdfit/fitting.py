@@ -128,17 +128,15 @@ def chord_length_params(points: np.ndarray) -> np.ndarray:
     """Cumulative chord-length parameters in [0, 1] for a point sequence.
 
     t_1 = 0, t_N = 1, and consecutive increments are proportional to the
-    Euclidean distance between consecutive points.  Every chord must be
-    finite: a coordinate step above about 1.3e154 overflows when squared.
+    Euclidean distance between consecutive points, which must be distinct
+    and pass `ingest._check_values` (under its bound no chord overflows).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2:
         raise ValueError("need at least 2 points to parameterize")
-    with np.errstate(over="ignore", invalid="ignore"):
-        chords = np.linalg.norm(np.diff(points, axis=0), axis=1)
-        cumulative = np.concatenate([[0.0], np.cumsum(chords)])
-    if not np.isfinite(cumulative[-1]):
-        raise ValueError("chord lengths must be finite (no NaN or inf, no step above about 1.3e154)")
+    _check_values(points.reshape(-1), "points")
+    chords = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    cumulative = np.concatenate([[0.0], np.cumsum(chords)])
     if np.any(chords == 0.0):
         raise ValueError("consecutive points must be distinct")
     return cumulative / cumulative[-1]
@@ -272,14 +270,14 @@ def _day_values(
     right: np.ndarray,
     tau: np.ndarray,
     spans: np.ndarray,
-    work: np.ndarray | None = None,
+    work: np.ndarray,
 ) -> np.ndarray:
     """The exact rule, y(t*_k) where x(t*_k) = k for days k = 1..N: (g, N)
     values for g curves, given their controls (g, 29, 2) with increasing x
     and the split of the chord-length parameters t_k at their omegas, as
-    `_full_rank` takes it.  `work`, if given, is a C-contiguous float array
-    of at least 18 g N elements that may be overwritten, such as the
-    design stack once it is solved; the coefficient gather goes into it.
+    `_full_rank` takes it.  `work` is a C-contiguous float array of at
+    least 18 g N elements that may be overwritten, such as the design
+    stack once it is solved; the coefficient gather goes into it.
 
     Day k is solved on the last span whose start x is <= k, in its local
     u in [0, 1], by NEWTON_STEPS steps from t_k's u, each clamped to [0, 1].
@@ -309,8 +307,7 @@ def _day_values(
     table[:, 2] = polys[..., 1].T
     brackets += per_curve * np.arange(len(brackets))[:, None]
     shape = (ORDER, 3) + brackets.shape
-    if work is not None:
-        work = work.reshape(-1)[: math.prod(shape)].reshape(shape)
+    work = work.reshape(-1)[: math.prod(shape)].reshape(shape)
     # mode="clip" (the brackets are in range anyway): with out= and the
     # default mode="raise", numpy gathers into a temporary copy of the
     # whole output and then copies it over

@@ -15,7 +15,7 @@ import numpy as np
 
 from .ingest import MAX_MAGNITUDE, _check_values
 
-# the peak floor of `quasi_distribution`, as a fraction of the maximum
+# the peak floor of `find_peaks`, as a fraction of the maximum
 PROMINENCE_FRAC = 0.05
 
 
@@ -51,13 +51,13 @@ def normalize(signal: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def moments(values: np.ndarray) -> tuple[float, float]:
-    """Mean and variance of a unit-sum sequence over day indices k = 1..N.
-
-    mean = sum k * v_k, variance = sum k^2 * v_k - mean^2.
+    """Mean and variance over day indices k = 1..N of values that pass
+    `ingest._check_values` and sum to 1 within 1e-9: mean = sum k * v_k,
+    variance = sum k^2 * v_k - mean^2.
     """
-    values = np.asarray(values, dtype=float)
+    values = _check_values(values)
     total = float(values.sum())
-    if not abs(total - 1.0) <= 1e-9:  # NaN compares false
+    if abs(total - 1.0) > 1e-9:
         raise ValueError(f"values must sum to 1 (got {total!r}); normalize first")
     days = np.arange(1, values.size + 1, dtype=float)
     mean = float(days @ values)
@@ -65,30 +65,28 @@ def moments(values: np.ndarray) -> tuple[float, float]:
     return mean, variance
 
 
-def find_peaks(values: np.ndarray, prominence_frac: float = PROMINENCE_FRAC) -> list[Peak]:
-    """Local maxima with prominence at least prominence_frac * max(values).
+def find_peaks(values: np.ndarray) -> list[Peak]:
+    """Local maxima with prominence at least PROMINENCE_FRAC * max(values).
 
-    A peak is a run of equal samples strictly higher than the runs on both
-    sides (a run touching either end is none); it reports the 1-based day of
-    its leftmost sample.  Its prominence is its height above the larger of the
-    two side minima, each found by searching outward until a sample is not <=
-    the height (a higher value or a NaN).  The floor suppresses low ripple
-    peaks from quintic oscillation.
+    The values must pass `ingest._check_values`.  A peak is a run of equal
+    samples strictly higher than the runs on both sides (a run touching
+    either end is none); it reports the 1-based day of its leftmost sample.
+    Its prominence is its height above the larger of the two side minima,
+    each found by searching outward until a sample is higher.  The floor
+    suppresses low ripple peaks from quintic oscillation.
     """
-    if not 0.0 <= prominence_frac <= 1.0:
-        raise ValueError("prominence fraction must lie in [0, 1]")
-    values = np.asarray(values, dtype=float)
+    values = _check_values(values)
     if values.size < 3:
         return []
-    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])  # NaN runs have length 1
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
     heights = values[starts]
     inner = np.arange(1, starts.size - 1)
     runs = inner[(heights[inner - 1] < heights[inner]) & (heights[inner + 1] < heights[inner])]
-    floor = prominence_frac * float(values.max())
+    floor = PROMINENCE_FRAC * float(values.max())
     peaks = []
     for left, height in zip(starts[runs], heights[runs]):
         # the plateau lies in both searches, so its left edge serves as well as its midpoint
-        blocked = np.flatnonzero(~(values <= height))
+        blocked = np.flatnonzero(values > height)
         k = np.searchsorted(blocked, left)
         lo = blocked[k - 1] + 1 if k > 0 else 0
         hi = blocked[k] if k < blocked.size else values.size
@@ -99,8 +97,8 @@ def find_peaks(values: np.ndarray, prominence_frac: float = PROMINENCE_FRAC) -> 
 
 
 def quasi_distribution(signal: np.ndarray) -> QuasiDistribution:
-    """Normalize a discretized fitted signal and compute its summary stats;
-    its peaks are those of prominence at least PROMINENCE_FRAC of the maximum."""
+    """Normalize a discretized fitted signal and compute its summary stats:
+    `normalize`, then `moments` and `find_peaks` of the rescaled values."""
     gamma, values = normalize(signal)
     mean, variance = moments(values)
-    return QuasiDistribution(values, gamma, mean, variance, find_peaks(values, PROMINENCE_FRAC))
+    return QuasiDistribution(values, gamma, mean, variance, find_peaks(values))

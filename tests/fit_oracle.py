@@ -131,7 +131,7 @@ def pp_eval(polys: np.ndarray, spans: np.ndarray, us: np.ndarray) -> np.ndarray:
 
 def day_values(omegas: np.ndarray, controls: np.ndarray, params: np.ndarray) -> np.ndarray:
     """`fitting._day_values` for g curves given by omegas (g,) and controls (g, 29, 2)."""
-    return fitting._day_values(controls, *split(params, omegas))
+    return fitting._day_values(controls, *split(params, omegas), np.empty(18 * len(omegas) * params.size))
 
 
 def day_values_loop(omegas: np.ndarray, controls: np.ndarray, params: np.ndarray) -> np.ndarray:

@@ -415,11 +415,14 @@ class TestOutputs:
             ("fit", ["--svg-out", "d"], "output path is a directory: d"),
             ("compare", ["--json-out", "newdir", "--svg-out", "nodir/o.svg"], "'nodir/o.svg'"),
             ("compare", ["--json-out", "newdir/sub", "--svg-out", "nodir/o.svg"], "'nodir/o.svg'"),
+            ("fit", ["--json-out", "data.csv"], "an output names the input file: data.csv"),
+            ("compare", ["--json-out", ".", "--svg-out", "data.csv"], "an output names the input file: data.csv"),
         ],
     )
     def test_failed_write_changes_nothing(self, tmp_path, monkeypatch, capsys, command, outputs, message):
         # exit 1 means no file was written, replaced or left behind, and no
-        # directory was created, whichever output fails
+        # directory was created, whichever output fails; the input is never
+        # an output
         monkeypatch.chdir(tmp_path)
         _write_csv(tmp_path / "data.csv", ["confirmed", "recovered"])
         (tmp_path / "r.json").write_text("an older report\n", encoding="utf-8")

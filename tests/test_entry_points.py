@@ -3,10 +3,12 @@
 `ingest._check_values` holds every entry point's values to one dimension,
 finiteness and magnitude at most `ingest.MAX_MAGNITUDE` (1e150).  Fed NaN,
 +-inf, magnitudes near and above the bound, 2-D and empty arrays, each
-entry point that `qdfit` exports must return a result, raise
-`IllConditionedError` (`fit` only), or raise a ValueError whose innermost
-frame lies in qdfit's own source: never numpy's or json's error, and never
-a RuntimeWarning, which pyproject.toml turns into an error.
+entry point that `qdfit` exports, and each of the stages
+`fitting.chord_length_params`, `quasidist.find_peaks` and
+`quasidist.moments`, must return a result, raise `IllConditionedError`
+(`fit` only), or raise a ValueError whose innermost frame lies in qdfit's
+own source: never numpy's or json's error, and never a RuntimeWarning,
+which pyproject.toml turns into an error.
 """
 
 import math
@@ -35,7 +37,9 @@ from qdfit import (
     parse_csv,
     quasi_distribution,
 )
+from qdfit.fitting import chord_length_params
 from qdfit.ingest import MAX_MAGNITUDE, _check_values
+from qdfit.quasidist import find_peaks, moments
 
 SOURCE = Path(qdfit.__file__).resolve().parent
 START = date(2021, 1, 1)
@@ -161,6 +165,30 @@ def test_quasi_distribution_and_report(signal, omega, mse):
         emit_json(report)
 
 
+@given(arrays())
+@example(np.full(2, 1e308))
+def test_chord_length_params(values):
+    # points as (k, v) columns; a column or stacked draw makes a 3-D array
+    days = np.arange(1.0, len(values) + 1).reshape((-1,) + (1,) * (values.ndim - 1))
+    params = _outcome(lambda: chord_length_params(np.stack(np.broadcast_arrays(days, values), axis=-1)))
+    if params is not None:
+        assert params[0] == 0.0 and params[-1] == 1.0 and np.all(np.diff(params) >= 0.0)
+
+
+@given(arrays(st.floats(min_value=-10.0, max_value=100.0)))
+@example(np.full((2, 2), 0.25))  # a 2-D unit sum
+@example(np.array([MAX_MAGNITUDE, -MAX_MAGNITUDE, 1.0]))
+def test_find_peaks_and_moments(values):
+    peaks = _outcome(lambda: find_peaks(values))
+    for peak in peaks or []:
+        assert peak.height == values[peak.day - 1] and 0.0 <= peak.prominence < math.inf
+    with np.errstate(all="ignore"):
+        unit = values / values.sum()  # a unit sum, unless it is NaN or inf
+    for each in (values, unit):
+        result = _outcome(lambda: moments(each))
+        assert result is None or np.all(np.isfinite(result))
+
+
 @given(arrays(), arrays())
 @example(np.array([]), np.array([]))
 @example(np.array([1.75e308, 0.0, -1.0]), np.ones(3))
@@ -184,6 +212,10 @@ def test_bound_at_entry_points():
     assert len(moving_average_7(series)) == len(counts) - 6
     assert quasi_distribution(counts).gamma == pytest.approx(1.0 / MAX_MAGNITUDE)
     assert emit_overlay_svg([("a", counts), ("b", -counts)]).startswith("<svg")
+    days = np.arange(1.0, counts.size + 1)
+    assert chord_length_params(np.column_stack([days, counts]))[-1] == 1.0
+    assert [peak.day for peak in find_peaks(counts)] == [11]
+    assert np.all(np.isfinite(moments(np.array([MAX_MAGNITUDE, -MAX_MAGNITUDE, 1.0]))))
     over = np.r_[np.ones(10), ABOVE, np.ones(10)]
     for call in (
         lambda: parse_csv(_csv([[ABOVE]])),
@@ -191,6 +223,9 @@ def test_bound_at_entry_points():
         lambda: moving_average_7(Series("x", START, over)),
         lambda: fit(np.r_[over, np.ones(20)]),
         lambda: quasi_distribution(over),
+        lambda: chord_length_params(np.column_stack([days, over])),
+        lambda: find_peaks(over),
+        lambda: moments(np.array([ABOVE, -ABOVE, 1.0])),
         lambda: emit_overlay_svg([("a", over), ("b", -counts)]),
     ):
         with pytest.raises(ValueError, match=r"above 1e\+150|magnitude at most 1e\+150"):

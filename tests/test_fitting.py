@@ -87,9 +87,10 @@ class TestChordLengthParams:
 
     @pytest.mark.parametrize("step", [1.4e154, 1e300, float("inf"), float("nan")])
     def test_chord_that_overflows_rejected(self, step):
-        # a finite step of 1.4e154 squares past the largest double
+        # a finite step of 1.4e154 squares past the largest double; the one
+        # value rule refuses every coordinate above 1e150 first
         points = np.array([[1.0, 0.0], [2.0, step], [3.0, 0.0]])
-        with pytest.raises(ValueError, match="chord lengths must be finite"):
+        with pytest.raises(ValueError, match=r"points must be finite .* magnitude at most 1e\+150"):
             chord_length_params(points)
 
     @given(
@@ -140,10 +141,10 @@ class TestDesignMatrix:
         np.testing.assert_array_equal(out, whole)
 
     def test_nan_points_rejected(self):
-        # chord lengths through a NaN point are NaN: the parameters refuse them,
-        # and the design refuses NaN parameters
+        # the parameters refuse a NaN point by the one value rule, and the
+        # design refuses NaN parameters
         points = np.array([[1.0, 0.2], [2.0, np.nan], [3.0, 0.5], [4.0, 0.1]])
-        with pytest.raises(ValueError, match="chord lengths must be finite"):
+        with pytest.raises(ValueError, match=r"points must be finite \(no NaN or inf\)"):
             chord_length_params(points)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             assemble_design(np.array([0.0, np.nan, np.nan, np.nan]), 0.4)

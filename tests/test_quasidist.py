@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qdfit.quasidist import find_peaks, moments, normalize, quasi_distribution
+from qdfit.quasidist import PROMINENCE_FRAC, find_peaks, moments, normalize, quasi_distribution
 
 
 class TestNormalize:
@@ -99,8 +99,8 @@ class TestMoments:
 
     @pytest.mark.parametrize("bad", [[np.nan], [0.5, np.nan, 0.5]])
     def test_nan_sum_rejected(self, bad):
-        # a NaN total is not within 1e-9 of 1: it returned (nan, nan)
-        with pytest.raises(ValueError, match="sum to 1"):
+        # the one value rule refuses a NaN before its total is formed
+        with pytest.raises(ValueError, match=r"values must be finite \(no NaN or inf\)"):
             moments(np.array(bad))
 
     def test_shift_covariance(self):
@@ -114,43 +114,35 @@ class TestMoments:
 
 class TestFindPeaks:
     def test_two_separated_peaks(self):
-        peaks = find_peaks(np.array([0.0, 1.0, 0.0, 2.0, 0.0]), 0.05)
+        peaks = find_peaks(np.array([0.0, 1.0, 0.0, 2.0, 0.0]))
         assert [(p.day, p.height) for p in peaks] == [(2, 1.0), (4, 2.0)]
         assert peaks[0].prominence == pytest.approx(1.0)
         assert peaks[1].prominence == pytest.approx(2.0)
 
     def test_monotone_has_no_peaks(self):
-        assert find_peaks(np.arange(10.0), 0.05) == []
-
-    def test_full_prominence_keeps_at_most_global_max(self):
-        peaks = find_peaks(np.array([0.0, 1.0, 0.0, 2.0, 0.0]), 1.0)
-        assert len(peaks) <= 1
-        if peaks:
-            assert peaks[0].height == 2.0
+        assert find_peaks(np.arange(10.0)) == []
 
     def test_plateau_reports_leftmost_sample(self):
-        peaks = find_peaks(np.array([0.0, 1.0, 1.0, 1.0, 0.0]), 0.0)
+        peaks = find_peaks(np.array([0.0, 1.0, 1.0, 1.0, 0.0]))
         assert [p.day for p in peaks] == [2]
 
     def test_prominence_floor_filters_ripple(self):
-        values = np.array([0.0, 10.0, 9.8, 10.1, 0.0, 0.2, 0.1])
-        strict = find_peaks(values, 0.5)
-        loose = find_peaks(values, 0.0)
-        assert len(strict) < len(loose)
+        # the floor is PROMINENCE_FRAC of the maximum 10.2, so 0.51: a ripple
+        # 0.4 above its notch is dropped, and one 0.6 above it is kept
+        assert PROMINENCE_FRAC == 0.05
+        below = find_peaks(np.array([0.0, 10.0, 9.6, 10.2, 0.0]))
+        above = find_peaks(np.array([0.0, 10.0, 9.4, 10.2, 0.0]))
+        assert [p.day for p in below] == [4]
+        assert [p.day for p in above] == [2, 4]
+        assert above[0].prominence == pytest.approx(0.6)
 
     def test_heights_match_values(self):
         values = np.array([0.0, 3.0, 1.0, 5.0, 2.0, 4.0, 0.0])
-        for peak in find_peaks(values, 0.0):
+        for peak in find_peaks(values):
             assert peak.height == values[peak.day - 1]
 
-    def test_fraction_validated(self):
-        with pytest.raises(ValueError):
-            find_peaks(np.array([0.0, 1.0, 0.0]), -0.1)
-        with pytest.raises(ValueError):
-            find_peaks(np.array([0.0, 1.0, 0.0]), 1.5)
-
     def test_short_input(self):
-        assert find_peaks(np.array([1.0, 2.0]), 0.05) == []
+        assert find_peaks(np.array([1.0, 2.0])) == []
 
     @given(
         st.lists(
@@ -164,8 +156,8 @@ class TestFindPeaks:
         # power-of-two scale keeps the multiplication exact, so the float
         # ordering pattern (and thus the peak set) is preserved verbatim
         values = np.asarray(raw)
-        base = find_peaks(values, 0.3)
-        scaled = find_peaks(2.0**exponent * values, 0.3)
+        base = find_peaks(values)
+        scaled = find_peaks(2.0**exponent * values)
         assert [p.day for p in base] == [p.day for p in scaled]
 
 

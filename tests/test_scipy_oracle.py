@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdfit.fitting import assemble_design, solve_normal_equations
-from qdfit.quasidist import find_peaks
+from qdfit.quasidist import PROMINENCE_FRAC, find_peaks
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
 scipy_signal = pytest.importorskip("scipy.signal")
 
 
-def scipy_peaks(values, prominence_frac):
-    """(1-based left edge, height, prominence) of every peak above the floor."""
+def scipy_peaks(values):
+    """(1-based left edge, height, prominence) of every peak above qdfit's floor."""
     values = np.asarray(values, dtype=float)
     if values.size < 3:
         return []
@@ -24,7 +24,7 @@ def scipy_peaks(values, prominence_frac):
     if indices.size == 0:
         return []
     prominences = scipy_signal.peak_prominences(values, indices)[0]
-    floor = prominence_frac * float(values.max())
+    floor = PROMINENCE_FRAC * float(values.max())
     return [
         (int(edge) + 1, float(values[edge]), float(prom))
         for edge, prom in zip(props["left_edges"], prominences)
@@ -34,18 +34,14 @@ def scipy_peaks(values, prominence_frac):
 
 # small integers make plateaus and ties common
 small_ints = st.integers(min_value=0, max_value=4).map(float)
-fractions = st.sampled_from([0.0, 0.05, 0.5, 1.0])
 
 
-@given(st.lists(small_ints, max_size=40), fractions)
-def test_find_peaks_matches_scipy(raw, prominence_frac):
-    assert [tuple(p) for p in find_peaks(np.asarray(raw), prominence_frac)] == scipy_peaks(raw, prominence_frac)
-
-
-@given(st.lists(st.one_of(small_ints, st.just(float("nan"))), max_size=40), fractions)
-def test_find_peaks_matches_scipy_with_nan(raw, prominence_frac):
-    # a NaN makes the floor NaN, so both sides must agree on reporting nothing
-    assert [tuple(p) for p in find_peaks(np.asarray(raw), prominence_frac)] == scipy_peaks(raw, prominence_frac)
+@given(st.lists(small_ints, max_size=40), st.sampled_from([[], [20.0], [40.0], [80.0]]))
+def test_find_peaks_matches_scipy(raw, tall):
+    # a tall last sample, never a peak itself, lifts the floor to 1, 2 or 4,
+    # so that it drops some small peaks and meets others' prominence exactly
+    raw = raw + tall
+    assert [tuple(p) for p in find_peaks(np.asarray(raw))] == scipy_peaks(raw)
 
 
 def scipy_solve(design, points):
